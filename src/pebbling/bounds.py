@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import Graph
 from .lp import build_relaxation, solve_max
-from .strategy import (CoverageError, StrategySet, generate_strategies,
-                       unit_weight)
+from .strategy import StrategySet, coverage, generate_strategies, unit_weight
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,7 @@ def min_coverage(g: Graph, root: int, ss: StrategySet) -> int:
     """
     if ss.root != root:
         raise ValueError(f"strategy set rooted at {ss.root} does not match root {root}")
-    cover = [0] * g.n
-    for s in ss.strategies:
-        for v, w in s.weight.items():
-            cover[v] += w
-    uncovered = [v for v in range(g.n) if v != root and cover[v] == 0]
-    if uncovered:
-        raise CoverageError(uncovered)
+    cover = coverage(g.n, root, ss.strategies)
     return min(cover[v] for v in range(g.n) if v != root)
 
 
@@ -86,45 +79,35 @@ def aggregate_bound(coverage: int, total: int) -> int:
     return total // coverage + 1
 
 
+def ratio_report(g: Graph, root: int, ss: StrategySet) -> BoundReport:
+    """One root's report without LP fields: coverage, total weight, ratio bound."""
+    kappa = min_coverage(g, root, ss)
+    chi = total_unit_weight(ss)
+    return BoundReport(root, kappa, chi, aggregate_bound(kappa, chi), len(ss.strategies))
+
+
 def ratio_bound(g: Graph, root: int, ss: StrategySet) -> int:
-    return aggregate_bound(min_coverage(g, root, ss), total_unit_weight(ss))
+    return ratio_report(g, root, ss).ratio_bound
 
 
 def lp_bound(g: Graph, root: int, ss: StrategySet) -> BoundReport:
-    """Full report: aggregation ratio plus the exact LP optimum, floored + 1."""
-    coverage = min_coverage(g, root, ss)
-    total = total_unit_weight(ss)
+    """The ratio report extended with the exact LP optimum, floored + 1."""
+    report = ratio_report(g, root, ss)
     solution = solve_max(build_relaxation(g, root, ss))
     if solution.status != "optimal":
         # cannot happen for covering sets: every column has a positive entry
         raise RuntimeError("relaxation is unbounded despite full coverage")
     z = solution.value
-    return BoundReport(
-        root=root,
-        min_coverage=coverage,
-        total_unit_weight=total,
-        ratio_bound=aggregate_bound(coverage, total),
-        strategy_count=len(ss.strategies),
-        lp_value=z,
-        lp_bound=math.floor(z) + 1,
-    )
+    return replace(report, lp_value=z, lp_bound=math.floor(z) + 1)
 
 
 def _bound_one_root(args):
-    g, root, method, maxlen, budget, seed, use_lp = args
+    g, root, method, gen, maxlen, budget, seed = args
     try:
-        ss = generate_strategies(g, root, method, maxlen=maxlen, budget=budget, seed=seed)
-        if use_lp:
-            return root, lp_bound(g, root, ss), None
-        report = BoundReport(
-            root=root,
-            min_coverage=min_coverage(g, root, ss),
-            total_unit_weight=total_unit_weight(ss),
-            ratio_bound=ratio_bound(g, root, ss),
-            strategy_count=len(ss.strategies),
-        )
+        ss = generate_strategies(g, root, gen, maxlen=maxlen, budget=budget, seed=seed)
+        report = lp_bound(g, root, ss) if method == "lp" else ratio_report(g, root, ss)
         return root, report, None
-    except (CoverageError, ValueError) as exc:
+    except ValueError as exc:
         return root, None, str(exc)
 
 
@@ -138,7 +121,7 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
     """
     if method not in ("ratio", "lp"):
         raise ValueError(f"unknown bound method {method!r}")
-    jobs = [(g, root, gen, maxlen, budget, seed, method == "lp") for root in range(g.n)]
+    jobs = [(g, root, method, gen, maxlen, budget, seed) for root in range(g.n)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_bound_one_root, jobs))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -22,6 +21,7 @@ from .solver import (
     DEFAULT_MAX_CONFIGS,
     ConfigFormatError,
     EnumerationCapError,
+    default_threads,
     format_config,
     is_solvable,
     max_unsolvable,
@@ -38,16 +38,6 @@ from .strategy import (
 )
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PEBBLING_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"PEBBLING_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -59,11 +49,15 @@ def _load_graph(path: str):
     return read_edge_list(path)
 
 
-def _load_strategies(path: str):
+def _load_strategies(args, g):
+    """The --strategies set for g, checked against --root when given."""
     try:
-        return load_strategy_set(path)
+        ss = load_strategy_set(args.strategies, g)
     except json.JSONDecodeError as exc:
-        raise StrategyError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+        raise StrategyError(f"{args.strategies} line {exc.lineno}: {exc.msg}") from exc
+    if args.root is not None and args.root != ss.root:
+        raise StrategyError(f"strategy set is rooted at {ss.root}, not {args.root}")
+    return ss
 
 
 def _read_config(args, n: int):
@@ -157,19 +151,18 @@ def _cmd_strategies(args) -> int:
     g = _load_graph(args.graph)
     ss = generate_strategies(g, args.root, args.method, maxlen=args.maxlen,
                              budget=args.budget, seed=args.seed)
-    kappa = bounds.min_coverage(g, args.root, ss)
-    chi = bounds.total_unit_weight(ss)
+    report = bounds.ratio_report(g, args.root, ss)
     if args.out:
         save_strategy_set(ss, args.out)
     payload = strategy_set_to_json(ss)
-    payload["kappa"] = kappa
-    payload["chi"] = chi
+    payload["kappa"] = report.min_coverage
+    payload["chi"] = report.total_unit_weight
     if args.json:
         print(json.dumps(payload, indent=2))
     elif args.out:
         print(f"{len(ss.strategies)} strategies for root {args.root}: "
-              f"kappa {kappa}, chi {chi}, ratio bound "
-              f"{bounds.aggregate_bound(kappa, chi)} (written to {args.out})")
+              f"kappa {report.min_coverage}, chi {report.total_unit_weight}, "
+              f"ratio bound {report.ratio_bound} (written to {args.out})")
     else:
         print(json.dumps(strategy_set_to_json(ss), indent=2))
     return 0
@@ -185,30 +178,14 @@ def _report_text(report: bounds.BoundReport) -> str:
 
 def _cmd_bound(args) -> int:
     g = _load_graph(args.graph)
-    if args.strategies:
-        ss = _load_strategies(args.strategies)
-        root = args.root if args.root is not None else ss.root
-        if root != ss.root:
-            raise StrategyError(f"strategy set is rooted at {ss.root}, not {root}")
-        if args.method == "lp":
-            report = bounds.lp_bound(g, root, ss)
+    if args.strategies or args.root is not None:
+        if args.strategies:
+            ss = _load_strategies(args, g)
         else:
-            report = bounds.BoundReport(root, bounds.min_coverage(g, root, ss),
-                                        bounds.total_unit_weight(ss),
-                                        bounds.ratio_bound(g, root, ss),
-                                        len(ss.strategies))
-        _emit(args, report.to_json_dict(), _report_text(report))
-        return 0
-    if args.root is not None:
-        ss = generate_strategies(g, args.root, args.gen, maxlen=args.maxlen,
-                                 budget=args.budget, seed=args.seed)
-        if args.method == "lp":
-            report = bounds.lp_bound(g, args.root, ss)
-        else:
-            report = bounds.BoundReport(args.root, bounds.min_coverage(g, args.root, ss),
-                                        bounds.total_unit_weight(ss),
-                                        bounds.ratio_bound(g, args.root, ss),
-                                        len(ss.strategies))
+            ss = generate_strategies(g, args.root, args.gen, maxlen=args.maxlen,
+                                     budget=args.budget, seed=args.seed)
+        report = bounds.lp_bound(g, ss.root, ss) if args.method == "lp" \
+            else bounds.ratio_report(g, ss.root, ss)
         _emit(args, report.to_json_dict(), _report_text(report))
         return 0
     graph_bounds = bounds.bound_graph(g, method=args.method, gen=args.gen,
@@ -227,11 +204,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_lp(args) -> int:
     g = _load_graph(args.graph)
-    ss = _load_strategies(args.strategies)
-    root = args.root if args.root is not None else ss.root
-    if root != ss.root:
-        raise StrategyError(f"strategy set is rooted at {ss.root}, not {root}")
-    solution = solve_max(build_relaxation(g, root, ss), verbose=args.verbose)
+    ss = _load_strategies(args, g)
+    solution = solve_max(build_relaxation(g, ss.root, ss), verbose=args.verbose)
     if solution.status != "optimal":
         _emit(args, {"status": solution.status, "pivots": solution.pivot_count},
               f"{solution.status} after {solution.pivot_count} pivots")
@@ -394,7 +368,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-            args.threads = _default_threads()
+            args.threads = default_threads()
         if getattr(args, "max_configs", -1) is None:
             args.max_configs = DEFAULT_MAX_CONFIGS
         return args.func(args)

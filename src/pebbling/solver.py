@@ -11,6 +11,7 @@ fact that adding pebbles never breaks solvability.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -51,6 +52,17 @@ class PebblingResult:
     value: int
     root: int
     critical_config: tuple[int, ...]
+
+
+def default_threads() -> int:
+    """Worker count from PEBBLING_THREADS, else the number of cores."""
+    env = os.environ.get("PEBBLING_THREADS")
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise ValueError(f"PEBBLING_THREADS must be an integer, got {env!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +253,22 @@ def _bounded_compositions(total: int, caps):
     yield from rec(0, total)
 
 
+def _level_space(g: Graph, root: int):
+    """Root geometry, the non-root vertices, and their caps threshold - 1.
+
+    The caps bound every configuration a level scan enumerates.  They, like
+    the pebbling number, are only defined on a connected graph.
+    """
+    if not is_connected(g):
+        raise GraphError("pebbling numbers need a connected graph")
+    if not 0 <= root < g.n:
+        raise GraphError(f"root {root} outside 0..{g.n - 1}")
+    geometry = _root_geometry(g, root)
+    others = [v for v in range(g.n) if v != root]
+    caps = [geometry[1][v] - 1 for v in others]
+    return geometry, others, caps
+
+
 def _level_configs(n, root, others, caps, total):
     """Yield full configurations of the given total, root empty, below thresholds."""
     for comp in _bounded_compositions(total, caps):
@@ -315,15 +343,8 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
     configuration is solvable is the answer.  Raises EnumerationCapError if a
     level would enumerate more than max_configs configurations.
     """
-    if not is_connected(g):
-        raise GraphError("pebbling numbers need a connected graph")
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} outside 0..{g.n - 1}")
-    geometry = _root_geometry(g, root)
-    dist = geometry[0]
-    ecc = max(dist)
-    others = [v for v in range(g.n) if v != root]
-    caps = [(1 << dist[v]) - 1 for v in others]
+    geometry, others, caps = _level_space(g, root)
+    ecc = max(geometry[0])
     lower = max(g.n, 1 << ecc)
     level = lower
     previous_hit = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import Graph, GraphError, distances_from, eccentricity
-from .solver import is_solvable
+from .solver import _level_configs, _level_space, is_solvable
 
 MAX_DEPTH = 62  # keeps every weight and weight sum inside 64-bit range
 _WEIGHT_LIMIT = (1 << 63) - 1
@@ -92,7 +92,7 @@ def strategy_from_tree(g: Graph, root: int, parent: dict[int, int]) -> Strategy:
     if root in parent:
         raise StrategyError("the root cannot have a parent")
     for v, p in parent.items():
-        if not g.has_edge(v, p):
+        if not (0 <= v < g.n and g.has_edge(v, p)):
             raise StrategyError(f"({v}, {p}) is not an edge of the graph")
     depth = _depths(root, parent)
     height = max(depth.values())
@@ -144,6 +144,8 @@ def validate_strategy(g: Graph, s: Strategy) -> Validation:
     for v, w in sorted(s.weight.items()):
         if w <= 0:
             return Validation(False, f"vertex {v} has nonpositive weight {w}")
+    if sum(s.weight.values()) > _WEIGHT_LIMIT:
+        return Validation(False, "unit weight over the 64-bit limit")
     for v, p in sorted(s.parent.items()):
         if p != s.root and s.weight[p] != 2 * s.weight[v]:
             return Validation(False, f"weight does not double from {v} to its parent {p}")
@@ -288,22 +290,20 @@ def _all_simple_paths(g: Graph, root: int, maxlen: int):
     yield from rec()
 
 
-def _coverage(n: int, root: int, strategies) -> list[int]:
+def coverage(n: int, root: int, strategies) -> list[int]:
+    """Summed strategy weight on every vertex, 0 on the root.
+
+    Raises CoverageError naming the non-root vertices no strategy reaches.
+    """
     cover = [0] * n
     for s in strategies:
         for v, w in s.weight.items():
             cover[v] += w
     cover[root] = 0
+    uncovered = [v for v in range(n) if v != root and cover[v] == 0]
+    if uncovered:
+        raise CoverageError(uncovered)
     return cover
-
-
-def _ratio(n: int, root: int, strategies):
-    """(total unit weight, min coverage) of a candidate set; None if not covering."""
-    cover = _coverage(n, root, strategies)
-    low = min(cover[v] for v in range(n) if v != root)
-    if low == 0:
-        return None
-    return sum(unit_weight(s) for s in strategies), low
 
 
 def _greedy_descent(n: int, root: int, pool: list[Strategy], start: list[int]):
@@ -314,12 +314,13 @@ def _greedy_descent(n: int, root: int, pool: list[Strategy], start: list[int]):
     from a large pool stays cheap.
     """
     current = list(start)
-    cover = _coverage(n, root, [pool[i] for i in current])
+    try:
+        cover = coverage(n, root, [pool[i] for i in current])
+    except CoverageError:
+        return None
     units = [unit_weight(pool[i]) for i in current]
     total = sum(units)
     low = min(cover[v] for v in range(n) if v != root)
-    if low == 0:
-        return None
     while len(current) > 1:
         best = None
         for drop, i in enumerate(current):
@@ -383,10 +384,7 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
     else:
         raise StrategyError(f"unknown generation method {method!r}")
 
-    uncovered = [v for v, c in enumerate(_coverage(g.n, root, strategies))
-                 if v != root and c == 0]
-    if uncovered:
-        raise CoverageError(uncovered)
+    coverage(g.n, root, strategies)
     return StrategySet(root, tuple(strategies))
 
 
@@ -474,44 +472,27 @@ def max_unsolvable_weight_check(g: Graph, root: int, s: Strategy,
                                 max_total: int) -> WeightCheck:
     """Verify every unsolvable configuration weighs at most the unit weight.
 
-    Enumerates all configurations with up to max_total pebbles off the root
-    and returns the first unsolvable one whose weighted count exceeds the
-    strategy's unit weight, if any exists.
+    Enumerates the configurations with up to max_total pebbles off the root,
+    in the solver's level order, and returns the first unsolvable one whose
+    weighted count exceeds the strategy's unit weight, if any exists.  The
+    enumeration skips configurations with 2^dist(v, root) pebbles on some
+    vertex v: they are solvable outright.  Raises GraphError on a
+    disconnected graph.
     """
     check = validate_strategy(g, s)
     if not check.ok:
         raise StrategyError(check.problem)
+    if s.root != root:
+        raise StrategyError(f"strategy rooted at {s.root}, not {root}")
+    _, others, caps = _level_space(g, root)
     bound = unit_weight(s)
-    others = [v for v in range(g.n) if v != root]
     for total in range(max_total + 1):
-        for combo in _compositions(total, len(others)):
-            counts = [0] * g.n
-            for v, c in zip(others, combo):
-                counts[v] = c
+        for counts in _level_configs(g.n, root, others, caps, total):
             if config_weight(s, counts) <= bound:
                 continue
             if not is_solvable(g, counts, root).solvable:
-                return WeightCheck(False, tuple(counts))
+                return WeightCheck(False, counts)
     return WeightCheck(True, None)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    x = [0] * parts
-
-    def rec(i, rem):
-        if i == parts - 1:
-            x[i] = rem
-            yield tuple(x)
-            return
-        for val in range(rem + 1):
-            x[i] = val
-            yield from rec(i + 1, rem - val)
-
-    yield from rec(0, total)
 
 
 # ---------------------------------------------------------------------------
@@ -527,23 +508,48 @@ def strategy_set_to_json(ss: StrategySet) -> dict:
     return {"root": ss.root, "strategies": payload}
 
 
-def strategy_set_from_json(data: dict) -> StrategySet:
+def _int_map(entry: dict, key: str) -> dict[int, int]:
+    field = entry[key]
+    if not isinstance(field, dict) or not all(isinstance(x, int) for x in field.values()):
+        raise StrategyError(f'"{key}" is not an object of integers')
+    try:
+        return {int(v): x for v, x in field.items()}
+    except ValueError as exc:
+        raise StrategyError(f'"{key}" has a non-integer vertex: {exc}') from exc
+
+
+def _strategy_from_entry(g: Graph, root: int, entry) -> Strategy:
+    if not isinstance(entry, dict) or "parent" not in entry:
+        raise StrategyError('expected an object with a "parent" map')
+    parent = _int_map(entry, "parent")
+    if "weight" not in entry:
+        return strategy_from_tree(g, root, parent)
+    s = Strategy(root, parent, _int_map(entry, "weight"))
+    check = validate_strategy(g, s)
+    if not check.ok:
+        raise StrategyError(check.problem)
+    return s
+
+
+def strategy_set_from_json(data: dict, g: Graph) -> StrategySet:
+    """Strategy set from its JSON form, every strategy validated against g.
+
+    An entry without weights gets the strategy_from_tree weights.  Raises
+    StrategyError naming the first bad entry's index and its problem.
+    """
     try:
         root = int(data["root"])
-        entries = data["strategies"]
-    except (KeyError, TypeError) as exc:
+        entries = list(data["strategies"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise StrategyError(f"strategy JSON missing field: {exc}") from exc
+    if not 0 <= root < g.n:
+        raise StrategyError(f"root {root} outside 0..{g.n - 1}")
     strategies = []
-    for entry in entries:
-        parent = {int(v): int(p) for v, p in entry["parent"].items()}
-        if "weight" in entry:
-            weight = {int(v): int(w) for v, w in entry["weight"].items()}
-            strategies.append(Strategy(root, parent, weight))
-        else:
-            depth = _depths(root, parent)
-            height = max(depth.values())
-            weight = {v: 1 << (height - d) for v, d in depth.items() if v != root}
-            strategies.append(Strategy(root, parent, weight))
+    for i, entry in enumerate(entries):
+        try:
+            strategies.append(_strategy_from_entry(g, root, entry))
+        except StrategyError as exc:
+            raise StrategyError(f"strategy {i}: {exc}") from exc
     return StrategySet(root, tuple(strategies))
 
 
@@ -553,6 +559,6 @@ def save_strategy_set(ss: StrategySet, path) -> None:
         fh.write("\n")
 
 
-def load_strategy_set(path) -> StrategySet:
+def load_strategy_set(path, g: Graph) -> StrategySet:
     with open(path, "r", encoding="utf-8") as fh:
-        return strategy_set_from_json(json.load(fh))
+        return strategy_set_from_json(json.load(fh), g)

@@ -9,7 +9,6 @@ acceptance test suite; checks tagged slow only run at the full level.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Callable
 from . import bounds, families, treepi
 from .graph import Graph
 from .lp import LinearProgram, build_relaxation, make_linear_program, solve_max
-from .solver import is_solvable, pebbling_number, pebbling_number_max
+from .solver import default_threads, is_solvable, pebbling_number, pebbling_number_max
 from .strategy import (
     generate_strategies,
     max_unsolvable_weight_check,
@@ -41,13 +40,6 @@ class Check:
     name: str
     slow: bool
     run: Callable[[], tuple[bool, str]]
-
-
-def _threads() -> int:
-    env = os.environ.get("PEBBLING_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +182,7 @@ def _check_cycles():
 
 def _check_cycle_7():
     want = 2 * (2 ** 4 // 3) + 1
-    got = pebbling_number_max(families.cycle(7), threads=_threads()).value
+    got = pebbling_number_max(families.cycle(7), threads=default_threads()).value
     if got != want:
         return False, f"cycle(7): {got} != {want}"
     return True, f"cycle(7) gives {want}"
@@ -205,7 +197,7 @@ def _check_hypercubes():
 
 
 def _check_petersen_exact():
-    got = pebbling_number_max(families.petersen(), threads=_threads()).value
+    got = pebbling_number_max(families.petersen(), threads=default_threads()).value
     if got != 10:
         return False, f"petersen: {got} != 10"
     return True, "petersen gives 10"
@@ -214,20 +206,19 @@ def _check_petersen_exact():
 def _check_petersen_bound():
     g = families.petersen()
     for root in range(g.n):
-        ss = generate_strategies(g, root, "greedy-search")
-        kappa = bounds.min_coverage(g, root, ss)
-        chi = bounds.total_unit_weight(ss)
+        report = bounds.ratio_report(g, root, generate_strategies(g, root, "greedy-search"))
+        kappa, chi = report.min_coverage, report.total_unit_weight
         if chi > 9 * kappa:
             return False, f"root {root}: chi/kappa = {chi}/{kappa} > 9"
-        if bounds.ratio_bound(g, root, ss) != 10:
+        if report.ratio_bound != 10:
             return False, f"root {root}: ratio bound != 10"
     return True, "greedy search reaches chi/kappa <= 9, bound 10, on all roots"
 
 
 def _check_bound_arithmetic():
     data = resources.files("pebbling").joinpath("data/petersen_strategies.json")
-    ss = strategy_set_from_json(json.loads(data.read_text()))
     g = families.petersen()
+    ss = strategy_set_from_json(json.loads(data.read_text()), g)
     kappa = bounds.min_coverage(g, ss.root, ss)
     chi = bounds.total_unit_weight(ss)
     if (kappa, chi) != (4, 36):
@@ -242,7 +233,7 @@ def _check_bound_arithmetic():
 def _check_bruhat_bound():
     g = families.bruhat(4)
     report = bounds.bound_graph(g, method="lp", gen="greedy-search",
-                                threads=_threads())
+                                threads=default_threads())
     if report.failures:
         return False, f"coverage failures at roots {sorted(report.failures)}"
     b = report.overall_bound

@@ -19,7 +19,7 @@ from pebbling.strategy import (CoverageError, StrategySet, generate_strategies,
 
 def stored_petersen_set() -> StrategySet:
     data = resources.files("pebbling").joinpath("data/petersen_strategies.json")
-    return strategy_set_from_json(json.loads(data.read_text()))
+    return strategy_set_from_json(json.loads(data.read_text()), families.petersen())
 
 
 # -- arithmetic core ---------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from pebbling import verify
 from pebbling.cli import main
+from pebbling.graph import read_edge_list
 from pebbling.strategy import load_strategy_set
 from pebbling.verify import CheckResult
 
@@ -159,7 +160,7 @@ def test_strategies_to_bound_to_lp_round_trip(petersen_file, tmp_path, capsys):
                        "--root", "0", "--out", str(ss_path))
     assert code == 0
     assert "ratio bound 10" in out
-    ss = load_strategy_set(str(ss_path))
+    ss = load_strategy_set(str(ss_path), read_edge_list(petersen_file))
     assert ss.root == 0
 
     code, out, _ = run(capsys, "bound", "--graph", petersen_file,
@@ -222,6 +223,26 @@ def test_bound_strategy_root_mismatch(petersen_file, tmp_path, capsys):
                        "--strategies", str(ss_path), "--root", "3")
     assert code == 1
     assert "rooted at 0" in err
+
+
+@pytest.mark.parametrize("verb", ["bound", "lp"])
+@pytest.mark.parametrize("entry,problem", [
+    # all-ones weights on path(5) once gave a bound of 5, where pi = 16
+    ({"parent": {"1": 0, "2": 1, "3": 2, "4": 3},
+      "weight": {"1": 1, "2": 1, "3": 1, "4": 1}}, "does not double"),
+    ({"weight": {"1": 1}}, '"parent"'),
+    ([1, 0], "object"),
+], ids=["all-ones-weights", "no-parent", "not-an-object"])
+def test_invalid_strategy_file_is_an_error(verb, entry, problem, tmp_path, capsys):
+    path5 = tmp_path / "path5.txt"
+    run(capsys, "family", "--kind", "path", "--size", "5", "--out", str(path5))
+    ss_path = tmp_path / "strategies.json"
+    ss_path.write_text(json.dumps({"root": 0, "strategies": [entry]}))
+    code, out, err = run(capsys, verb, "--graph", str(path5),
+                         "--strategies", str(ss_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: strategy 0: ") and problem in err
 
 
 def test_lp_bad_json_reports_line(petersen_file, tmp_path, capsys):

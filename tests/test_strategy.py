@@ -2,8 +2,9 @@
 
 import pytest
 
-from pebbling import families
-from pebbling.graph import new_graph
+from pebbling import families, strategy
+from pebbling.graph import GraphError, distances_from, new_graph
+from pebbling.solver import is_solvable
 from pebbling.strategy import (
     CoverageError,
     Strategy,
@@ -191,6 +192,31 @@ def test_weight_check_requires_valid_strategy():
     g = families.path(3)
     with pytest.raises(StrategyError):
         max_unsolvable_weight_check(g, 0, Strategy(0, {2: 0}, {2: 1}), 2)
+    with pytest.raises(StrategyError, match="rooted at 0"):
+        max_unsolvable_weight_check(g, 2, strategy_from_path(g, [0, 1, 2]), 3)
+
+
+def test_weight_check_only_solves_configurations_below_thresholds(monkeypatch):
+    g = families.cycle(5)
+    dist = distances_from(g, 0)
+    solved = []
+
+    def recording(graph, config, root):
+        solved.append(tuple(config))
+        return is_solvable(graph, config, root)
+
+    monkeypatch.setattr(strategy, "is_solvable", recording)
+    assert max_unsolvable_weight_check(g, 0, strategy_from_path(g, [0, 1, 2]), 4).ok
+    assert solved
+    for counts in solved:
+        assert counts[0] == 0
+        assert all(c < 2 ** dist[v] for v, c in enumerate(counts))
+
+
+def test_weight_check_rejects_disconnected_graph():
+    g = new_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(GraphError, match="connected"):
+        max_unsolvable_weight_check(g, 0, strategy_from_path(g, [0, 1]), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +227,13 @@ def test_json_round_trip(tmp_path):
     ss = generate_strategies(g, 0, "greedy-search")
     target = tmp_path / "set.json"
     save_strategy_set(ss, target)
-    back = load_strategy_set(target)
+    back = load_strategy_set(target, g)
     assert back == ss
 
 
 def test_json_weights_rederived_when_absent():
     data = {"root": 0, "strategies": [{"parent": {"1": 0, "2": 1, "3": 2}}]}
-    ss = strategy_set_from_json(data)
+    ss = strategy_set_from_json(data, families.path(4))
     assert ss.strategies[0].weight == {1: 4, 2: 2, 3: 1}
 
 
@@ -216,9 +242,34 @@ def test_json_weights_kept_when_present():
     ss = StrategySet(0, (strategy_from_path(g, [0, 1, 2, 3]),))
     data = strategy_set_to_json(ss)
     assert data["strategies"][0]["weight"] == {"1": 4, "2": 2, "3": 1}
-    assert strategy_set_from_json(data) == ss
+    assert strategy_set_from_json(data, g) == ss
 
 
 def test_json_missing_fields_rejected():
     with pytest.raises(StrategyError):
-        strategy_set_from_json({"strategies": []})
+        strategy_set_from_json({"strategies": []}, families.path(3))
+
+
+@pytest.mark.parametrize("entry,problem", [
+    ({"parent": {"1": 0, "2": 1}, "weight": {"1": 1, "2": 1}}, "does not double"),
+    ({"parent": {"3": 0}, "weight": {"3": 1}}, "not an edge"),
+    ({"parent": {"3": 0}}, "not an edge"),
+    ({"parent": {"1": 0, "2": 1, "3": 2, "-1": 3}}, "not an edge"),
+    ({"parent": {}}, "at least one edge"),
+    ({"parent": {"1": "zero"}}, "of integers"),
+    ({"parent": {"1": 0}, "weight": {"1": 1.5}}, "of integers"),
+    ({"parent": {"one": 0}}, "non-integer vertex"),
+    ({"parent": {"1": 0, "2": 1}, "weight": {"1": 2 ** 63, "2": 2 ** 62}}, "64-bit"),
+    ({"weight": {"1": 1}}, '"parent"'),
+    ([1, 0], "object"),
+])
+def test_json_invalid_entry_named_by_index(entry, problem):
+    data = {"root": 0, "strategies": [{"parent": {"1": 0}}, entry]}
+    with pytest.raises(StrategyError, match=f"strategy 1: .*{problem}"):
+        strategy_set_from_json(data, families.path(5))
+
+
+def test_json_root_outside_graph_rejected():
+    with pytest.raises(StrategyError, match="outside"):
+        strategy_set_from_json({"root": 9, "strategies": [{"parent": {"1": 0}}]},
+                               families.path(5))
