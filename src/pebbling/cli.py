@@ -202,10 +202,15 @@ def _cmd_bound(args) -> int:
     return 1 if graph_bounds.failures else 0
 
 
+def _print_pivot(count, entering, leaving, value) -> None:
+    print(f"pivot {count}: enter x{entering}, leave row {leaving}, value {value}")
+
+
 def _cmd_lp(args) -> int:
     g = _load_graph(args.graph)
     ss = _load_strategies(args, g)
-    solution = solve_max(build_relaxation(g, ss.root, ss), verbose=args.verbose)
+    solution = solve_max(build_relaxation(g, ss.root, ss),
+                         on_pivot=_print_pivot if args.verbose else None)
     if solution.status != "optimal":
         _emit(args, {"status": solution.status, "pivots": solution.pivot_count},
               f"{solution.status} after {solution.pivot_count} pivots")

@@ -45,8 +45,12 @@ def make_linear_program(objective, constraints) -> LinearProgram:
     return LinearProgram(len(obj), obj, tuple(rows))
 
 
-def solve_max(lp: LinearProgram, verbose: bool = False) -> LpSolution:
-    """Primal simplex; exact arithmetic throughout."""
+def solve_max(lp: LinearProgram, on_pivot=None) -> LpSolution:
+    """Primal simplex; exact arithmetic throughout.
+
+    on_pivot, when given, is called after each pivot with the pivot count,
+    the entering variable, the leaving row and the objective value so far.
+    """
     n = lp.num_vars
     m = len(lp.constraints)
     # rows[i] = coefficients over structurals + slacks, then the rhs
@@ -83,8 +87,8 @@ def solve_max(lp: LinearProgram, verbose: bool = False) -> LpSolution:
         cost = [x - factor * y for x, y in zip(cost, rows[leaving])]
         basis[leaving] = entering
         pivots += 1
-        if verbose:
-            print(f"pivot {pivots}: enter x{entering}, leave row {leaving}, value {-cost[-1]}")
+        if on_pivot is not None:
+            on_pivot(pivots, entering, leaving, -cost[-1])
     point = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:

@@ -10,10 +10,11 @@ fact that adding pebbles never breaks solvability.
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, distances_from, is_connected
 
@@ -112,52 +113,67 @@ def apply_moves(config, moves) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # solvability search
 
-def _root_geometry(g: Graph, root: int):
-    """Distances from the root, quick-accept thresholds, and a step map.
+class Geometry(NamedTuple):
+    """What the search needs to know about one (graph, root) pair.
 
     threshold[v] = 2^dist(v, root): a vertex holding that many pebbles can
     ship one to the root along a shortest path unaided.  step[v] is the
-    lowest-numbered neighbor one hop closer to the root.
+    lowest-numbered neighbor one hop closer to the root.  moves pairs each
+    source vertex with the neighbors it may send to, sources from the
+    farthest from the root to the nearest and targets from the nearest to
+    the farthest, ties by index, so the search tries the step toward the
+    root first.  Neither the root nor a vertex it cannot reach is a source:
+    the root is empty in every searched state, and pebbles off its
+    component never reach it.
     """
+
+    dist: tuple[int | None, ...]
+    threshold: tuple[int | None, ...]
+    step: tuple[int | None, ...]
+    moves: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _root_geometry(g: Graph, root: int) -> Geometry:
+    """The geometry of a root, computed once per graph value and root."""
     dist = distances_from(g, root)
-    threshold = [None] * g.n
-    step = [None] * g.n
-    for v in range(g.n):
-        d = dist[v]
-        if d is None:
-            continue
-        threshold[v] = 1 << d
-        if d > 0:
-            step[v] = min(u for u in g.adj[v] if dist[u] == d - 1)
-    return dist, threshold, step
+    threshold = tuple(None if d is None else 1 << d for d in dist)
+    step = tuple(
+        min(u for u in g.adj[v] if dist[u] == dist[v] - 1) if dist[v] else None
+        for v in range(g.n)
+    )
+    sources = sorted((v for v in range(g.n) if dist[v]), key=lambda v: (-dist[v], v))
+    moves = tuple((u, tuple(sorted(g.adj[u], key=lambda v: (dist[v], v)))) for u in sources)
+    return Geometry(tuple(dist), threshold, step, moves)
 
 
-def _chain_moves(v, dist, step) -> list[Move]:
+def _chain_moves(v, geometry: Geometry) -> list[Move]:
     """Moves sending one pebble from v to the root using only v's own stack."""
     moves = []
-    d = dist[v]
+    d = geometry.dist[v]
     u = v
     for i in range(d):
-        nxt = step[u]
+        nxt = geometry.step[u]
         moves.extend([(u, nxt)] * (1 << (d - 1 - i)))
         u = nxt
     return moves
 
 
-def _search(adj, threshold, step, dist, counts) -> tuple[list[Move] | None, int]:
+def _search(geometry: Geometry, counts) -> tuple[list[Move] | None, int]:
     """Depth-first search over move sequences with a visited-configuration memo.
 
     counts must already fail every quick accept (no vertex at or over its
     threshold, root empty).  Returns (witness moves, explored count).
     """
-    n = len(adj)
+    threshold = geometry.threshold
+    table = geometry.moves
     seen = {counts}
     explored = 1
 
     def move_iter(c):
-        for u in range(n):
+        for u, targets in table:
             if c[u] >= 2:
-                for v in adj[u]:
+                for v in targets:
                     yield u, v
 
     stack = [(counts, move_iter(counts))]
@@ -175,8 +191,8 @@ def _search(adj, threshold, step, dist, counts) -> tuple[list[Move] | None, int]
         nxt[u] -= 2
         nxt[v] += 1
         # only v gained pebbles, so the quick accept can only fire there
-        if threshold[v] is not None and nxt[v] >= threshold[v]:
-            return trail + [(u, v)] + _chain_moves(v, dist, step), explored
+        if nxt[v] >= threshold[v]:
+            return trail + [(u, v)] + _chain_moves(v, geometry), explored
         t = tuple(nxt)
         if t not in seen:
             seen.add(t)
@@ -197,11 +213,11 @@ def is_solvable(g: Graph, config, root: int) -> SolveResult:
         raise ValueError("configuration counts must be nonnegative")
     if counts[root] >= 1:
         return SolveResult(True, (), 0)
-    dist, threshold, step = _root_geometry(g, root)
-    for v in range(g.n):
-        if threshold[v] is not None and counts[v] >= threshold[v]:
-            return SolveResult(True, tuple(_chain_moves(v, dist, step)), 0)
-    witness, explored = _search(g.adj, threshold, step, dist, counts)
+    geometry = _root_geometry(g, root)
+    for v, t in enumerate(geometry.threshold):
+        if t is not None and counts[v] >= t:
+            return SolveResult(True, tuple(_chain_moves(v, geometry)), 0)
+    witness, explored = _search(geometry, counts)
     if witness is None:
         return SolveResult(False, None, explored)
     return SolveResult(True, tuple(witness), explored)
@@ -213,7 +229,7 @@ def is_solvable(g: Graph, config, root: int) -> SolveResult:
 # Any configuration holding threshold[v] pebbles somewhere is solvable
 # outright, so a level scan only needs the configurations bounded strictly
 # below every threshold (with the root empty).  The enumeration runs in
-# lexicographic order over non-root vertices for determinism.
+# lexicographic order for determinism.
 
 def _bounded_count(total: int, caps) -> int:
     ways = [1] + [0] * total
@@ -231,72 +247,70 @@ def _bounded_count(total: int, caps) -> int:
 
 
 def _bounded_compositions(total: int, caps):
-    n = len(caps)
-    tail = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] + caps[i]
-    if total > tail[0]:
+    """Yield every tuple x with sum total and 0 <= x[i] <= caps[i], in lexicographic order.
+
+    An odometer: after each tuple, the rightmost position that can take one
+    pebble from the positions after it goes up by one, and the rest of those
+    pebbles are packed as far right as the caps allow, which is the smallest
+    suffix holding them.
+    """
+    if not 0 <= total <= sum(caps):
         return
+    n = len(caps)
     x = [0] * n
-
-    def rec(i, rem):
-        if i == n:
-            yield tuple(x)
+    rem = total
+    i = 0
+    while True:
+        for j in range(n - 1, i - 1, -1):
+            c = caps[j] if caps[j] < rem else rem
+            x[j] = c
+            rem -= c
+        yield tuple(x)
+        rem = 0
+        i = n - 1
+        while i >= 0 and not (rem and x[i] < caps[i]):
+            rem += x[i]
+            i -= 1
+        if i < 0:
             return
-        lo = max(0, rem - tail[i + 1])
-        hi = min(caps[i], rem)
-        for val in range(lo, hi + 1):
-            x[i] = val
-            yield from rec(i + 1, rem - val)
-        x[i] = 0
-
-    yield from rec(0, total)
+        x[i] += 1
+        rem -= 1
+        i += 1
 
 
 def _level_space(g: Graph, root: int):
-    """Root geometry, the non-root vertices, and their caps threshold - 1.
+    """Root geometry and the caps threshold - 1 of every vertex, 0 at the root.
 
-    The caps bound every configuration a level scan enumerates.  They, like
-    the pebbling number, are only defined on a connected graph.
+    The configurations of a level are _bounded_compositions(total, caps).
+    The caps, like the pebbling number, are only defined on a connected
+    graph.
     """
     if not is_connected(g):
         raise GraphError("pebbling numbers need a connected graph")
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} outside 0..{g.n - 1}")
     geometry = _root_geometry(g, root)
-    others = [v for v in range(g.n) if v != root]
-    caps = [geometry[1][v] - 1 for v in others]
-    return geometry, others, caps
-
-
-def _level_configs(n, root, others, caps, total):
-    """Yield full configurations of the given total, root empty, below thresholds."""
-    for comp in _bounded_compositions(total, caps):
-        counts = [0] * n
-        for v, c in zip(others, comp):
-            counts[v] = c
-        yield tuple(counts)
+    caps = tuple(0 if v == root else t - 1 for v, t in enumerate(geometry.threshold))
+    return geometry, caps
 
 
 def _scan_batch(args):
     """Worker: index of the first unsolvable configuration in the batch, or None."""
-    adj, root, batch = args
-    g = Graph(len(adj), adj)
-    dist, threshold, step = _root_geometry(g, root)
+    g, root, batch = args
+    geometry = _root_geometry(g, root)
     for i, counts in enumerate(batch):
-        witness, _ = _search(adj, threshold, step, dist, counts)
+        witness, _ = _search(geometry, counts)
         if witness is None:
             return i
     return None
 
 
-def _scan_level(g: Graph, root: int, geometry, others, caps, total: int, threads: int):
+def _scan_level(g: Graph, root: int, geometry, caps, total: int, threads: int):
     """First unsolvable configuration at this total, in enumeration order."""
-    dist, threshold, step = geometry
-    configs = _level_configs(g.n, root, others, caps, total)
+    configs = _bounded_compositions(total, caps)
     if threads <= 1:
         for counts in configs:
-            witness, _ = _search(g.adj, threshold, step, dist, counts)
+            witness, _ = _search(geometry, counts)
             if witness is None:
                 return counts
         return None
@@ -310,7 +324,7 @@ def _scan_level(g: Graph, root: int, geometry, others, caps, total: int, threads
                     break
             if not batch:
                 return
-            yield g.adj, root, batch
+            yield g, root, batch
     hit = None
     with ProcessPoolExecutor(max_workers=threads) as pool:
         pending = []
@@ -343,8 +357,8 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
     configuration is solvable is the answer.  Raises EnumerationCapError if a
     level would enumerate more than max_configs configurations.
     """
-    geometry, others, caps = _level_space(g, root)
-    ecc = max(geometry[0])
+    geometry, caps = _level_space(g, root)
+    ecc = max(geometry.dist)
     lower = max(g.n, 1 << ecc)
     level = lower
     previous_hit = None
@@ -352,17 +366,17 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
         count = _bounded_count(level, caps) if level <= sum(caps) else 0
         if count > max_configs:
             raise EnumerationCapError(max_configs, level, count, level - 1)
-        hit = _scan_level(g, root, geometry, others, caps, level, threads)
+        hit = _scan_level(g, root, geometry, caps, level, threads)
         if hit is None:
-            critical = previous_hit if previous_hit is not None else _witness_below(g, root, geometry, others, caps, lower)
+            critical = previous_hit if previous_hit is not None else _witness_below(g, root, geometry, caps, lower)
             return PebblingResult(level, root, critical)
         previous_hit = hit
         level += 1
 
 
-def _witness_below(g: Graph, root, geometry, others, caps, lower) -> tuple[int, ...]:
+def _witness_below(g: Graph, root, geometry, caps, lower) -> tuple[int, ...]:
     """Unsolvable configuration of size lower - 1 when the scan starts at the answer."""
-    dist, threshold, step = geometry
+    dist = geometry.dist
     if lower - 1 == g.n - 1:
         return tuple(0 if v == root else 1 for v in range(g.n))
     # lower - 1 = 2^ecc - 1: stack it all on the nearest farthest vertex
@@ -371,11 +385,11 @@ def _witness_below(g: Graph, root, geometry, others, caps, lower) -> tuple[int, 
     counts = [0] * g.n
     counts[far] = (1 << ecc) - 1
     counts = tuple(counts)
-    witness, _ = _search(g.adj, threshold, step, dist, counts)
+    witness, _ = _search(geometry, counts)
     if witness is None:
         return counts
     # cannot happen for either canonical witness; fall back to a full scan
-    return _scan_level(g, root, geometry, others, caps, lower - 1, 1)
+    return _scan_level(g, root, geometry, caps, lower - 1, 1)
 
 
 def max_unsolvable(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFIGS,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import Graph, GraphError, distances_from, eccentricity
-from .solver import _level_configs, _level_space, is_solvable
+from .solver import _bounded_compositions, _level_space, is_solvable
 
 MAX_DEPTH = 62  # keeps every weight and weight sum inside 64-bit range
 _WEIGHT_LIMIT = (1 << 63) - 1
@@ -484,10 +484,10 @@ def max_unsolvable_weight_check(g: Graph, root: int, s: Strategy,
         raise StrategyError(check.problem)
     if s.root != root:
         raise StrategyError(f"strategy rooted at {s.root}, not {root}")
-    _, others, caps = _level_space(g, root)
+    _, caps = _level_space(g, root)
     bound = unit_weight(s)
     for total in range(max_total + 1):
-        for counts in _level_configs(g.n, root, others, caps, total):
+        for counts in _bounded_compositions(total, caps):
             if config_weight(s, counts) <= bound:
                 continue
             if not is_solvable(g, counts, root).solvable:

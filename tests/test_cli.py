@@ -177,6 +177,22 @@ def test_strategies_to_bound_to_lp_round_trip(petersen_file, tmp_path, capsys):
     assert "(bound 10)" in out
 
 
+def test_lp_verbose_prints_each_pivot(petersen_file, tmp_path, capsys):
+    ss_path = tmp_path / "strategies.json"
+    run(capsys, "strategies", "--graph", petersen_file, "--root", "0",
+        "--out", str(ss_path))
+    code, out, _ = run(capsys, "lp", "--graph", petersen_file,
+                       "--strategies", str(ss_path), "--verbose")
+    assert code == 0
+    assert out.splitlines() == [
+        "pivot 1: enter x0, leave row 0, value 3",
+        "pivot 2: enter x1, leave row 0, value 6",
+        "pivot 3: enter x2, leave row 1, value 8",
+        "pivot 4: enter x4, leave row 2, value 9",
+        "optimal value 9 (bound 10) after 4 pivots",
+    ]
+
+
 def test_strategies_json_deterministic(petersen_file, capsys):
     argv = ("strategies", "--graph", petersen_file, "--root", "0", "--json")
     _, first, _ = run(capsys, *argv)

@@ -59,6 +59,16 @@ def test_pivots_reproducible():
     assert first.pivot_count >= 1
 
 
+def test_pivot_callback_and_no_output(capsys):
+    lp = make_linear_program([1, 2], [([1, 1], 4), ([1, 0], 2)])
+    seen = []
+    solution = solve_max(lp, on_pivot=lambda *pivot: seen.append(pivot))
+    assert solution == solve_max(lp)
+    assert [count for count, *_ in seen] == list(range(1, solution.pivot_count + 1))
+    assert seen[-1][3] == solution.value
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("i,lp", list(enumerate(_simplex_suite())))
 def test_fixed_suite_matches_oracle(i, lp):
     solution = solve_max(lp)

@@ -1,5 +1,7 @@
 """Exhaustive solver: solvability search, witnesses, and pebbling numbers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,8 @@ from pebbling import families
 from pebbling.solver import (
     ConfigFormatError,
     EnumerationCapError,
+    _bounded_compositions,
+    _root_geometry,
     apply_moves,
     format_config,
     is_solvable,
@@ -86,6 +90,21 @@ def test_apply_moves_rejects_illegal():
         apply_moves((0, 1, 0), ((1, 0),))  # only one pebble at source
 
 
+def test_answers_do_not_leak_between_graphs_or_roots():
+    # path(5) and cycle(5) have the same n; roots 0 and 4 of path(5) differ
+    path, cycle = families.path(5), families.cycle(5)
+    queries = [(path, (0, 0, 0, 0, 15), 0), (cycle, (0, 0, 0, 0, 15), 0),
+               (path, (0, 0, 0, 0, 15), 4), (path, (3, 0, 0, 0, 0), 4),
+               (cycle, (3, 0, 0, 0, 0), 4), (path, (0, 0, 0, 0, 15), 0)]
+    uncached = []
+    for g, config, root in queries:
+        _root_geometry.cache_clear()
+        uncached.append(is_solvable(g, config, root).solvable)
+    assert uncached == [False, True, True, False, True, False]
+    for _ in range(2):  # interleaved, the second round answering from the cache
+        assert [is_solvable(g, c, r).solvable for g, c, r in queries] == uncached
+
+
 def test_far_stack_doubles_per_step():
     g = families.path(4)
     assert is_solvable(g, (0, 0, 0, 8), 0).solvable
@@ -125,6 +144,31 @@ def test_max_unsolvable_witnesses():
     value, config = max_unsolvable(families.cycle(5), 0)
     assert value == 4
     assert not is_solvable(families.cycle(5), config, 0).solvable
+
+
+@pytest.mark.parametrize("solve,critical", [
+    (lambda: pebbling_number(families.path(7), 6), (63, 0, 0, 0, 0, 0, 0)),
+    (lambda: pebbling_number(families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]), 5),
+     (0, 0, 0, 1, 0, 0, 31)),
+    (lambda: pebbling_number_max(families.cycle(8)), (0, 0, 0, 0, 15, 0, 0, 0)),
+    (lambda: pebbling_number_max(families.petersen()), (0, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    # path(7) relabelled as 5-3-1-0-2-4-6, rooted at the end 5
+    (lambda: pebbling_number(families.tree_from_parents([-1, 0, 0, 1, 2, 3, 4]), 5),
+     (0, 0, 0, 0, 0, 0, 63)),
+], ids=["path7-r6", "tree-r5", "cycle8", "petersen", "relabelled-path7-r5"])
+def test_critical_configurations_are_pinned(solve, critical):
+    # the first unsolvable configuration in enumeration order: any change to
+    # the search or the enumeration must keep it
+    assert solve().critical_config == critical
+
+
+@pytest.mark.parametrize("caps", [(), (0,), (0, 0), (2,), (0, 3, 0), (1, 3, 7),
+                                  (2, 0, 1, 4), (3, 3, 3, 3), (1, 1, 0, 1, 1)])
+def test_bounded_compositions_in_lexicographic_order(caps):
+    for total in range(sum(caps) + 3):
+        brute = [x for x in itertools.product(*(range(c + 1) for c in caps))
+                 if sum(x) == total]
+        assert list(_bounded_compositions(total, caps)) == brute, total
 
 
 def test_disconnected_graph_rejected():
