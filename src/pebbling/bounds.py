@@ -8,13 +8,14 @@ optimizes the same constraints exactly and is never looser.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import Graph
 from .lp import build_relaxation, solve_max
+from .solver import map_roots
 from .strategy import StrategySet, coverage, generate_strategies, unit_weight
 
 
@@ -101,8 +102,7 @@ def lp_bound(g: Graph, root: int, ss: StrategySet) -> BoundReport:
     return replace(report, lp_value=z, lp_bound=math.floor(z) + 1)
 
 
-def _bound_one_root(args):
-    g, root, method, gen, maxlen, budget, seed = args
+def _bound_one_root(g, method, gen, maxlen, budget, seed, root):
     try:
         ss = generate_strategies(g, root, gen, maxlen=maxlen, budget=budget, seed=seed)
         report = lp_bound(g, root, ss) if method == "lp" else ratio_report(g, root, ss)
@@ -121,12 +121,8 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
     """
     if method not in ("ratio", "lp"):
         raise ValueError(f"unknown bound method {method!r}")
-    jobs = [(g, root, method, gen, maxlen, budget, seed) for root in range(g.n)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_bound_one_root, jobs))
-    else:
-        outcomes = [_bound_one_root(job) for job in jobs]
+    bound_root = functools.partial(_bound_one_root, g, method, gen, maxlen, budget, seed)
+    outcomes = map_roots(bound_root, range(g.n), threads)
     per_root: dict[int, BoundReport] = {}
     failures: dict[int, str] = {}
     for root, report, error in outcomes:

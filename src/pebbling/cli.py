@@ -117,8 +117,7 @@ def _cmd_pi(args) -> int:
     g = _load_graph(args.graph)
     start = time.perf_counter()
     if args.root is not None:
-        result = pebbling_number(g, args.root, max_configs=args.max_configs,
-                                 threads=args.threads)
+        result = pebbling_number(g, args.root, max_configs=args.max_configs)
     else:
         result = pebbling_number_max(g, max_configs=args.max_configs,
                                      threads=args.threads)
@@ -138,8 +137,7 @@ def _cmd_pi(args) -> int:
 
 def _cmd_max_unsolvable(args) -> int:
     g = _load_graph(args.graph)
-    value, config = max_unsolvable(g, args.root, max_configs=args.max_configs,
-                                   threads=args.threads)
+    value, config = max_unsolvable(g, args.root, max_configs=args.max_configs)
     payload = {"value": value, "root": args.root,
                "config": format_config(config)}
     _emit(args, payload, f"largest unsolvable total {value} for root {args.root}; "
@@ -274,11 +272,14 @@ def _add_graph_arg(sub) -> None:
     sub.add_argument("--graph", required=True, help="edge-list file")
 
 
-def _add_solver_args(sub) -> None:
+def _add_max_configs_arg(sub) -> None:
     sub.add_argument("--max-configs", type=int, default=None,
                      help="cap on configurations per enumerated level")
+
+
+def _add_threads_arg(sub) -> None:
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: all cores)")
+                     help="worker processes, each taking whole roots (default: all cores)")
 
 
 def _add_gen_args(sub) -> None:
@@ -321,13 +322,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_verb("pi", "exact pebbling number (all roots unless --root)")
     _add_graph_arg(p)
     p.add_argument("--root", type=int, default=None)
-    _add_solver_args(p)
+    _add_max_configs_arg(p)
+    _add_threads_arg(p)
     p.set_defaults(func=_cmd_pi)
 
     p = add_verb("max-unsolvable", "largest unsolvable pebble total")
     _add_graph_arg(p)
     p.add_argument("--root", type=int, required=True)
-    _add_solver_args(p)
+    _add_max_configs_arg(p)
     p.set_defaults(func=_cmd_max_unsolvable)
 
     p = add_verb("strategies", "generate a covering strategy set")
@@ -347,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxlen", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads_arg(p)
     p.set_defaults(func=_cmd_bound)
 
     p = add_verb("lp", "solve the strategy-set linear relaxation")

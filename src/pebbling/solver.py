@@ -14,7 +14,7 @@ import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graph import Graph, GraphError, distances_from, is_connected
 
@@ -40,6 +40,10 @@ class EnumerationCapError(RuntimeError):
             f"levels up to {last_verified} were verified"
         )
 
+    def __reduce__(self):
+        # rebuild from the fields, so the error crosses a process boundary intact
+        return type(self), (self.cap, self.level, self.count, self.last_verified)
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -64,6 +68,19 @@ def default_threads() -> int:
         return max(1, int(env))
     except ValueError as exc:
         raise ValueError(f"PEBBLING_THREADS must be an integer, got {env!r}") from exc
+
+
+def map_roots(fn, jobs: Sequence, threads: int) -> list:
+    """[fn(job) for job in jobs], spread over up to `threads` worker processes.
+
+    The package's one process pool: each job is a whole root, so workers
+    never share a level scan.  Results come back in job order, and the
+    first job to raise, in that order, raises here.
+    """
+    if threads <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+        return list(pool.map(fn, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +180,9 @@ def _search(geometry: Geometry, counts) -> tuple[list[Move] | None, int]:
     """Depth-first search over move sequences with a visited-configuration memo.
 
     counts must already fail every quick accept (no vertex at or over its
-    threshold, root empty).  Returns (witness moves, explored count).
+    threshold, root empty).  Returns (moves, explored count): the moves end
+    with the one that brought its target vertex up to its threshold, so
+    _chain_moves from that vertex completes a witness; None if unsolvable.
     """
     threshold = geometry.threshold
     table = geometry.moves
@@ -192,7 +211,8 @@ def _search(geometry: Geometry, counts) -> tuple[list[Move] | None, int]:
         nxt[v] += 1
         # only v gained pebbles, so the quick accept can only fire there
         if nxt[v] >= threshold[v]:
-            return trail + [(u, v)] + _chain_moves(v, geometry), explored
+            trail.append((u, v))
+            return trail, explored
         t = tuple(nxt)
         if t not in seen:
             seen.add(t)
@@ -217,10 +237,10 @@ def is_solvable(g: Graph, config, root: int) -> SolveResult:
     for v, t in enumerate(geometry.threshold):
         if t is not None and counts[v] >= t:
             return SolveResult(True, tuple(_chain_moves(v, geometry)), 0)
-    witness, explored = _search(geometry, counts)
-    if witness is None:
+    moves, explored = _search(geometry, counts)
+    if moves is None:
         return SolveResult(False, None, explored)
-    return SolveResult(True, tuple(witness), explored)
+    return SolveResult(True, tuple(moves + _chain_moves(moves[-1][1], geometry)), explored)
 
 
 # ---------------------------------------------------------------------------
@@ -294,59 +314,12 @@ def _level_space(g: Graph, root: int):
     return geometry, caps
 
 
-def _scan_batch(args):
-    """Worker: index of the first unsolvable configuration in the batch, or None."""
-    g, root, batch = args
-    geometry = _root_geometry(g, root)
-    for i, counts in enumerate(batch):
-        witness, _ = _search(geometry, counts)
-        if witness is None:
-            return i
-    return None
-
-
-def _scan_level(g: Graph, root: int, geometry, caps, total: int, threads: int):
+def _scan_level(geometry, caps, total: int):
     """First unsolvable configuration at this total, in enumeration order."""
-    configs = _bounded_compositions(total, caps)
-    if threads <= 1:
-        for counts in configs:
-            witness, _ = _search(geometry, counts)
-            if witness is None:
-                return counts
-        return None
-    batch_size = 2048
-    def batches():
-        while True:
-            batch = []
-            for counts in configs:
-                batch.append(counts)
-                if len(batch) >= batch_size:
-                    break
-            if not batch:
-                return
-            yield g, root, batch
-    hit = None
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        pending = []
-        for payload in batches():
-            pending.append((payload[2], pool.submit(_scan_batch, payload)))
-            # keep the pipeline bounded; consume oldest first so the earliest
-            # hit in enumeration order wins regardless of completion order
-            if len(pending) >= threads * 2:
-                batch, fut = pending.pop(0)
-                idx = fut.result()
-                if idx is not None:
-                    hit = batch[idx]
-                    break
-        if hit is None:
-            for batch, fut in pending:
-                idx = fut.result()
-                if idx is not None:
-                    hit = batch[idx]
-                    break
-        for _, fut in pending:
-            fut.cancel()
-    return hit
+    for counts in _bounded_compositions(total, caps):
+        if _search(geometry, counts)[0] is None:
+            return counts
+    return None
 
 
 def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFIGS,
@@ -355,7 +328,9 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
 
     Scans totals upward from max(n, 2^ecc(root)); the first total whose every
     configuration is solvable is the answer.  Raises EnumerationCapError if a
-    level would enumerate more than max_configs configurations.
+    level would enumerate more than max_configs configurations.  One root
+    always scans in this process: threads is accepted and ignored, and
+    pebbling_number_max spreads the roots of a graph over processes.
     """
     geometry, caps = _level_space(g, root)
     ecc = max(geometry.dist)
@@ -366,7 +341,7 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
         count = _bounded_count(level, caps) if level <= sum(caps) else 0
         if count > max_configs:
             raise EnumerationCapError(max_configs, level, count, level - 1)
-        hit = _scan_level(g, root, geometry, caps, level, threads)
+        hit = _scan_level(geometry, caps, level)
         if hit is None:
             critical = previous_hit if previous_hit is not None else _witness_below(g, root, geometry, caps, lower)
             return PebblingResult(level, root, critical)
@@ -385,27 +360,26 @@ def _witness_below(g: Graph, root, geometry, caps, lower) -> tuple[int, ...]:
     counts = [0] * g.n
     counts[far] = (1 << ecc) - 1
     counts = tuple(counts)
-    witness, _ = _search(geometry, counts)
-    if witness is None:
+    if _search(geometry, counts)[0] is None:
         return counts
     # cannot happen for either canonical witness; fall back to a full scan
-    return _scan_level(g, root, geometry, caps, lower - 1, 1)
+    return _scan_level(geometry, caps, lower - 1)
 
 
-def max_unsolvable(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFIGS,
-                   threads: int = 1) -> tuple[int, tuple[int, ...]]:
+def max_unsolvable(g: Graph, root: int, *,
+                   max_configs: int = DEFAULT_MAX_CONFIGS) -> tuple[int, tuple[int, ...]]:
     """Largest unsolvable total for the root, with a witness configuration."""
-    result = pebbling_number(g, root, max_configs=max_configs, threads=threads)
+    result = pebbling_number(g, root, max_configs=max_configs)
     return result.value - 1, result.critical_config
 
 
 def pebbling_number_max(g: Graph, *, max_configs: int = DEFAULT_MAX_CONFIGS,
                         threads: int = 1) -> PebblingResult:
-    """Pebbling number of the graph: the rooted value maximized over all roots."""
-    best: PebblingResult | None = None
-    for root in range(g.n):
-        result = pebbling_number(g, root, max_configs=max_configs, threads=threads)
-        if best is None or result.value > best.value:
-            best = result
-    assert best is not None
-    return best
+    """Pebbling number of the graph: the rooted value maximized over all roots.
+
+    Roots go to up to `threads` worker processes; the first maximum in root
+    order wins, so every thread count gives the serial sweep's result.
+    """
+    scan = functools.partial(pebbling_number, g, max_configs=max_configs)
+    results = map_roots(scan, range(g.n), threads)
+    return max(results, key=lambda r: r.value)

@@ -145,11 +145,19 @@ def test_pi_json_stable_between_runs(path4_file, capsys):
 
 def test_max_unsolvable(path4_file, capsys):
     code, out, _ = run(capsys, "max-unsolvable", "--graph", path4_file,
-                       "--root", "0", "--threads", "1", "--json")
+                       "--root", "0", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 7
     assert payload["config"] == "3:7"
+
+
+def test_enumeration_cap_in_workers_is_a_clean_error(petersen_file, capsys):
+    code, _, err = run(capsys, "pi", "--graph", petersen_file,
+                       "--max-configs", "10", "--threads", "2")
+    assert code == 1
+    assert err.startswith("error: level ")
+    assert err.rstrip().endswith("were verified")
 
 
 # -- strategies, bound, lp ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exhaustive solver: solvability search, witnesses, and pebbling numbers."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,13 +185,37 @@ def test_enumeration_cap():
     assert err.value.count > 10
 
 
-def test_thread_count_does_not_change_results():
+def _cap_fields(exc):
+    return exc.cap, exc.level, exc.count, exc.last_verified, str(exc)
+
+
+def test_enumeration_cap_error_survives_pickling():
+    exc = EnumerationCapError(10, 11, 500, 10)
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is EnumerationCapError
+    assert _cap_fields(copy) == _cap_fields(exc)
+
+
+def test_enumeration_cap_is_the_same_in_worker_processes():
+    g = families.petersen()
+    with pytest.raises(EnumerationCapError) as serial:
+        pebbling_number_max(g, max_configs=10, threads=1)
+    with pytest.raises(EnumerationCapError) as parallel:
+        pebbling_number_max(g, max_configs=10, threads=2)
+    assert _cap_fields(parallel.value) == _cap_fields(serial.value)
+
+
+def test_thread_count_does_not_change_results(binary7):
     g = families.cycle(6)
     serial = pebbling_number(g, 0, threads=1)
     parallel = pebbling_number(g, 0, threads=3)
     assert serial == parallel
     g = families.petersen()
     assert pebbling_number(g, 0, threads=1) == pebbling_number(g, 0, threads=2)
+    # all roots: roots 3..6 of the binary tree tie at 18, and the smallest wins
+    for g in (families.cycle(6), families.petersen(), binary7):
+        assert pebbling_number_max(g, threads=1) == pebbling_number_max(g, threads=2)
+    assert pebbling_number_max(binary7, threads=2) == pebbling_number(binary7, 3)
 
 
 # ---------------------------------------------------------------------------
