@@ -3,7 +3,8 @@
 Summing every strategy's constraint shows an unsolvable configuration holds
 fewer than (total unit weight) / (minimum coverage) pebbles, so the floor of
 that ratio plus one bounds the rooted pebbling number.  The LP relaxation
-optimizes the same constraints exactly and is never looser.
+optimizes the same constraints exactly and is never looser; every LP value
+reported here has passed the exact dual-certificate check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import Graph
-from .lp import build_relaxation, solve_max
+from .lp import build_relaxation, check_certificate, fraction_text, solve_max
 from .solver import map_roots
 from .strategy import StrategySet, coverage, generate_strategies, unit_weight
 
@@ -28,6 +29,7 @@ class BoundReport:
     strategy_count: int
     lp_value: Fraction | None = None
     lp_bound: int | None = None
+    lp_dual: tuple[Fraction, ...] | None = None  # one multiplier per strategy
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -37,8 +39,9 @@ class BoundReport:
             "ratio_bound": self.ratio_bound,
         }
         if self.lp_value is not None:
-            payload["lp_value"] = f"{self.lp_value.numerator}/{self.lp_value.denominator}"
+            payload["lp_value"] = fraction_text(self.lp_value)
             payload["lp_bound"] = self.lp_bound
+            payload["dual"] = [fraction_text(y) for y in self.lp_dual]
         return payload
 
 
@@ -92,14 +95,19 @@ def ratio_bound(g: Graph, root: int, ss: StrategySet) -> int:
 
 
 def lp_bound(g: Graph, root: int, ss: StrategySet) -> BoundReport:
-    """The ratio report extended with the exact LP optimum, floored + 1."""
+    """The ratio report extended with the exact LP optimum, floored + 1.
+
+    The optimum's dual certificate is checked before it is reported, and a
+    failed check raises CertificateError.  Covering sets give every column a
+    positive entry, so the relaxation is never unbounded; the check would
+    reject an unbounded result too.
+    """
     report = ratio_report(g, root, ss)
-    solution = solve_max(build_relaxation(g, root, ss))
-    if solution.status != "optimal":
-        # cannot happen for covering sets: every column has a positive entry
-        raise RuntimeError("relaxation is unbounded despite full coverage")
+    lp = build_relaxation(g, root, ss)
+    solution = solve_max(lp)
+    check_certificate(lp, solution)
     z = solution.value
-    return replace(report, lp_value=z, lp_bound=math.floor(z) + 1)
+    return replace(report, lp_value=z, lp_bound=math.floor(z) + 1, lp_dual=solution.dual)
 
 
 def _bound_one_root(g, method, gen, maxlen, budget, seed, root):

@@ -16,7 +16,7 @@ import time
 
 from . import bounds, families, treepi, verify
 from .graph import GraphError, read_edge_list, to_edge_list, write_edge_list
-from .lp import build_relaxation, solve_max
+from .lp import build_relaxation, check_certificate, fraction_text, solve_max
 from .solver import (
     DEFAULT_MAX_CONFIGS,
     ConfigFormatError,
@@ -207,19 +207,21 @@ def _print_pivot(count, entering, leaving, value) -> None:
 def _cmd_lp(args) -> int:
     g = _load_graph(args.graph)
     ss = _load_strategies(args, g)
-    solution = solve_max(build_relaxation(g, ss.root, ss),
-                         on_pivot=_print_pivot if args.verbose else None)
+    lp = build_relaxation(g, ss.root, ss)
+    solution = solve_max(lp, on_pivot=_print_pivot if args.verbose else None)
     if solution.status != "optimal":
         _emit(args, {"status": solution.status, "pivots": solution.pivot_count},
               f"{solution.status} after {solution.pivot_count} pivots")
         return 0
+    check_certificate(lp, solution)
     bound = math.floor(solution.value) + 1
     payload = {
         "status": "optimal",
-        "value": f"{solution.value.numerator}/{solution.value.denominator}",
+        "value": fraction_text(solution.value),
         "bound": bound,
         "pivots": solution.pivot_count,
-        "point": [f"{x.numerator}/{x.denominator}" for x in solution.point],
+        "point": [fraction_text(x) for x in solution.point],
+        "dual": [fraction_text(y) for y in solution.dual],
     }
     _emit(args, payload, f"optimal value {solution.value} (bound {bound}) "
                          f"after {solution.pivot_count} pivots")

@@ -14,7 +14,7 @@ class GraphError(ValueError):
     """Malformed graph structure (bad edge, disconnected where connectivity is required)."""
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(GraphError):
     """Malformed edge-list text; carries the 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -115,7 +115,10 @@ def to_edge_list(g: Graph) -> str:
 
 
 def from_edge_list(text: str) -> Graph:
-    """Parse edge-list text produced by to_edge_list.  Strict about shape."""
+    """Parse edge-list text produced by to_edge_list.  Strict about shape.
+
+    A graph with no vertices is rejected: no verb has a root to work on.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -128,6 +131,8 @@ def from_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise GraphFormatError('expected two integers in header "n m"', line=1) from None
+    if n == 0:
+        raise GraphFormatError("the graph has no vertices", line=1)
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header promises {m} edges but {len(lines) - 1} edge lines follow", line=1)
     edges = []

@@ -309,9 +309,10 @@ def coverage(n: int, root: int, strategies) -> list[int]:
 def _greedy_descent(n: int, root: int, pool: list[Strategy], start: list[int]):
     """Steepest-descent removal on total/coverage starting from the given subset.
 
-    Coverage is maintained incrementally: each candidate removal costs one
-    pass over the dropped strategy's vertices plus a min scan, so descending
-    from a large pool stays cheap.
+    Coverage is maintained incrementally.  A candidate removal lowers only
+    the dropped strategy's vertices (never the root), so the new minimum is
+    the least of those lowered values and the least coverage outside them,
+    read off one ascending sort of the vertices per step.
     """
     current = list(start)
     try:
@@ -323,9 +324,13 @@ def _greedy_descent(n: int, root: int, pool: list[Strategy], start: list[int]):
     low = min(cover[v] for v in range(n) if v != root)
     while len(current) > 1:
         best = None
+        ascending = sorted((v for v in range(n) if v != root), key=cover.__getitem__)
         for drop, i in enumerate(current):
             weight = pool[i].weight
-            new_low = min(cover[v] - weight.get(v, 0) for v in range(n) if v != root)
+            new_low = min(cover[v] - w for v, w in weight.items())
+            outside = next((v for v in ascending if v not in weight), None)
+            if outside is not None and cover[outside] < new_low:
+                new_low = cover[outside]
             if new_low == 0:
                 continue
             new_total = total - units[drop]

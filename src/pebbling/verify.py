@@ -18,7 +18,14 @@ from typing import Callable
 
 from . import bounds, families, treepi
 from .graph import Graph
-from .lp import LinearProgram, build_relaxation, make_linear_program, solve_max
+from .lp import (
+    CertificateError,
+    LinearProgram,
+    build_relaxation,
+    check_certificate,
+    make_linear_program,
+    solve_max,
+)
 from .solver import default_threads, is_solvable, pebbling_number, pebbling_number_max
 from .strategy import (
     generate_strategies,
@@ -323,10 +330,10 @@ def _check_simplex_oracle():
         want = basic_feasible_maximum(lp)
         if solution.status != "optimal" or solution.value != want:
             return False, f"suite LP {i}: simplex {solution.value}, oracle {want}"
-        residuals = [rhs - sum(c * x for c, x in zip(row, solution.point))
-                     for row, rhs in lp.constraints]
-        if any(r < 0 for r in residuals) or any(x < 0 for x in solution.point):
-            return False, f"suite LP {i}: returned point infeasible"
+        try:
+            check_certificate(lp, solution)
+        except CertificateError as exc:
+            return False, f"suite LP {i}: {exc}"
     pete = families.petersen()
     ss = generate_strategies(pete, 0, "greedy-search")
     z = solve_max(build_relaxation(pete, 0, ss)).value

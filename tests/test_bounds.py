@@ -1,6 +1,7 @@
 """Ratio and LP bounds built from covering strategy sets."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -11,7 +12,8 @@ from pebbling import families
 from pebbling.bounds import (BoundReport, aggregate_bound, bound_graph,
                              lp_bound, min_coverage, ratio_bound,
                              total_unit_weight)
-from pebbling.lp import build_relaxation, solve_max
+from pebbling import bounds
+from pebbling.lp import CertificateError, build_relaxation, check_certificate, solve_max
 from pebbling.solver import pebbling_number
 from pebbling.strategy import (CoverageError, StrategySet, generate_strategies,
                                strategy_from_path, strategy_set_from_json)
@@ -58,6 +60,29 @@ def test_stored_petersen_set_lp_report(petersen):
     assert report.lp_bound is not None
     # the pebbling number is 10, so the relaxation cannot dip below it
     assert 10 <= report.lp_bound <= report.ratio_bound
+
+
+def test_lp_report_carries_a_checked_dual(petersen):
+    ss = stored_petersen_set()
+    report = lp_bound(petersen, 0, ss)
+    lp = build_relaxation(petersen, 0, ss)
+    assert len(report.lp_dual) == len(ss.strategies)
+    solution = solve_max(lp)
+    assert report.lp_dual == solution.dual
+    check_certificate(lp, solution)
+    # weak duality: the multipliers' weighted right-hand sides give the value
+    assert sum(y * rhs for y, (_, rhs) in zip(report.lp_dual, lp.constraints)) \
+        == report.lp_value
+
+
+def test_lp_bound_rejects_an_uncertified_optimum(petersen, monkeypatch):
+    def overstated(lp, on_pivot=None):
+        solution = solve_max(lp, on_pivot)
+        return replace(solution, value=solution.value + 1)
+
+    monkeypatch.setattr(bounds, "solve_max", overstated)
+    with pytest.raises(CertificateError):
+        lp_bound(petersen, 0, stored_petersen_set())
 
 
 # -- a single path strategy is tight on paths --------------------------------
@@ -141,9 +166,10 @@ def test_bound_graph_json_shape(petersen):
     assert len(payload["per_root"]) == 10
     for entry in payload["per_root"]:
         assert set(entry) == {"root", "kappa", "chi", "ratio_bound",
-                              "lp_value", "lp_bound"}
+                              "lp_value", "lp_bound", "dual"}
         num, den = entry["lp_value"].split("/")
         assert int(den) >= 1 and int(num) >= 0
+        assert len(entry["dual"]) == len(result.per_root[entry["root"]].lp_dual)
 
 
 def test_bound_graph_ratio_method_has_no_lp_fields(petersen):

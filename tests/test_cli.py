@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface via main()."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from pebbling import verify
+from pebbling import cli, verify
 from pebbling.cli import main
 from pebbling.graph import read_edge_list
+from pebbling.lp import LpSolution, build_relaxation, check_certificate, solve_max
 from pebbling.strategy import load_strategy_set
 from pebbling.verify import CheckResult
 
@@ -199,6 +202,58 @@ def test_lp_verbose_prints_each_pivot(petersen_file, tmp_path, capsys):
         "pivot 4: enter x4, leave row 2, value 9",
         "optimal value 9 (bound 10) after 4 pivots",
     ]
+
+
+def test_lp_and_bound_json_carry_a_dual_certificate(petersen_file, tmp_path, capsys):
+    ss_path = tmp_path / "strategies.json"
+    run(capsys, "strategies", "--graph", petersen_file, "--root", "0",
+        "--out", str(ss_path))
+    g = read_edge_list(petersen_file)
+    lp = build_relaxation(g, 0, load_strategy_set(str(ss_path), g))
+    code, out, _ = run(capsys, "lp", "--graph", petersen_file,
+                       "--strategies", str(ss_path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    solution = LpSolution("optimal", Fraction(payload["value"]),
+                          tuple(Fraction(x) for x in payload["point"]),
+                          payload["pivots"], tuple(Fraction(y) for y in payload["dual"]))
+    check_certificate(lp, solution)
+
+    code, out, _ = run(capsys, "bound", "--graph", petersen_file,
+                       "--strategies", str(ss_path), "--json")
+    assert code == 0
+    assert json.loads(out)["dual"] == payload["dual"]
+    code, out, _ = run(capsys, "bound", "--graph", petersen_file, "--threads", "1",
+                       "--json")
+    assert code == 0
+    assert all(len(entry["dual"]) >= 1 for entry in json.loads(out)["per_root"])
+
+
+def test_lp_rejects_an_uncertified_optimum(petersen_file, tmp_path, capsys, monkeypatch):
+    ss_path = tmp_path / "strategies.json"
+    run(capsys, "strategies", "--graph", petersen_file, "--root", "0",
+        "--out", str(ss_path))
+
+    def understated(lp, on_pivot=None):
+        solution = solve_max(lp, on_pivot)
+        return replace(solution, value=solution.value - 1)
+
+    monkeypatch.setattr(cli, "solve_max", understated)
+    code, out, err = run(capsys, "lp", "--graph", petersen_file,
+                         "--strategies", str(ss_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not the value 8" in err
+
+
+@pytest.mark.parametrize("verb", ["pi", "bound"])
+def test_graph_without_vertices_is_an_error(verb, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    code, out, err = run(capsys, verb, "--graph", str(empty))
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 1: the graph has no vertices\n"
 
 
 def test_strategies_json_deterministic(petersen_file, capsys):

@@ -136,6 +136,11 @@ def test_empty_edge_list_rejected():
         from_edge_list("")
 
 
+def test_graph_without_vertices_rejected():
+    with pytest.raises(GraphError, match="line 1: the graph has no vertices"):
+        from_edge_list("0 0\n")
+
+
 @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
     st.just(n),
     st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))

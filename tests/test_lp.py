@@ -1,12 +1,20 @@
-"""Exact simplex against a basic-feasible-point enumeration oracle."""
+"""Exact simplex against a basic-feasible-point enumeration oracle, and its
+dual certificates."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebbling import families
-from pebbling.lp import build_relaxation, make_linear_program, solve_max
+from pebbling.lp import (
+    CertificateError,
+    build_relaxation,
+    check_certificate,
+    make_linear_program,
+    solve_max,
+)
 from pebbling.strategy import generate_strategies, strategy_from_path
 from pebbling.verify import _simplex_suite, basic_feasible_maximum
 
@@ -74,14 +82,21 @@ def test_fixed_suite_matches_oracle(i, lp):
     solution = solve_max(lp)
     assert solution.status == "optimal"
     assert solution.value == basic_feasible_maximum(lp)
+    check_certificate(lp, solution)
 
 
-@settings(max_examples=80, deadline=None)
+def _fractions(low, high):
+    # small denominators, integers included; unlike denominators in one row
+    # exercise the per-row integer scaling
+    return st.fractions(low, high, max_denominator=6)
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
-    st.lists(st.integers(-4, 6), min_size=k, max_size=k),
+    st.lists(_fractions(-4, 6), min_size=k, max_size=k),
     st.lists(st.tuples(
-        st.lists(st.integers(0, 5), min_size=k, max_size=k),
-        st.integers(0, 9)), min_size=0, max_size=3))))
+        st.lists(_fractions(0, 5), min_size=k, max_size=k),
+        _fractions(0, 9)), min_size=0, max_size=3))))
 def test_random_bounded_lps_match_oracle(data):
     objective, extra_rows = data
     k = len(objective)
@@ -90,6 +105,56 @@ def test_random_bounded_lps_match_oracle(data):
     solution = solve_max(lp)
     assert solution.status == "optimal"
     assert solution.value == basic_feasible_maximum(lp)
+    check_certificate(lp, solution)
+
+
+def test_certificate_reads_the_slack_costs():
+    # max x0 + x1 with x0 <= 1 and 2 x1 <= 3: multipliers 1 and 1/2
+    lp = make_linear_program([1, 1], [([1, 0], 1), ([0, 2], 3)])
+    solution = solve_max(lp)
+    assert solution.value == Fraction(5, 2)
+    assert solution.dual == (Fraction(1), Fraction(1, 2))
+    check_certificate(lp, solution)
+
+
+@pytest.mark.parametrize("dual,problem", [
+    ((Fraction(2), Fraction(1, 2)), "dual objective"),  # y.A >= c but y.b = 7/2
+    ((Fraction(5, 2), Fraction(0)), "falls short"),     # y.b = 5/2 but column 1 is 0
+    ((Fraction(6), Fraction(-7, 6)), "negative"),       # y.b = 5/2, y.A = (6, -7/3)
+    ((Fraction(1),), "entries"),
+], ids=["objective", "column", "sign", "length"])
+def test_tampered_dual_rejected(dual, problem):
+    lp = make_linear_program([1, 1], [([1, 0], 1), ([0, 2], 3)])
+    solution = solve_max(lp)
+    with pytest.raises(CertificateError, match=problem):
+        check_certificate(lp, replace(solution, dual=dual))
+
+
+def test_tampered_value_or_point_rejected():
+    lp = make_linear_program([1, 1], [([1, 0], 1), ([0, 2], 3)])
+    solution = solve_max(lp)
+    for value in (Fraction(2), Fraction(3), Fraction(5, 2) + Fraction(1, 10**9)):
+        with pytest.raises(CertificateError, match="not the value"):
+            check_certificate(lp, replace(solution, value=value))
+    with pytest.raises(CertificateError, match="violates constraint 1"):
+        check_certificate(lp, replace(solution, point=(Fraction(1), Fraction(2))))
+    with pytest.raises(CertificateError, match="negative"):
+        check_certificate(lp, replace(solution, point=(Fraction(-1), Fraction(3, 2))))
+    with pytest.raises(CertificateError, match="unbounded"):
+        check_certificate(lp, replace(solution, status="unbounded"))
+
+
+def test_every_changed_dual_entry_rejected_on_petersen():
+    g = families.petersen()
+    lp = build_relaxation(g, 0, generate_strategies(g, 0, "greedy-search"))
+    solution = solve_max(lp)
+    check_certificate(lp, solution)
+    for i in range(len(solution.dual)):
+        for delta in (Fraction(1), Fraction(-1, 7)):
+            dual = list(solution.dual)
+            dual[i] += delta
+            with pytest.raises(CertificateError):
+                check_certificate(lp, replace(solution, dual=tuple(dual)))
 
 
 def test_build_relaxation_shapes():
@@ -128,3 +193,18 @@ def test_petersen_relaxation_value():
     assert solution.value == 9
     # aggregation gives the same 9 as a dual certificate: chi/kappa = 36/4
     assert solution.value <= Fraction(36, 4)
+
+
+def test_bruhat4_root0_pinned():
+    # value, pivot count and point as the Fraction-tableau engine gave them
+    g = families.bruhat(4)
+    lp = build_relaxation(g, 0, generate_strategies(g, 0, "greedy-search"))
+    solution = solve_max(lp)
+    assert (lp.num_vars, len(lp.constraints)) == (23, 47)
+    assert solution.value == Fraction(135, 2)
+    assert solution.pivot_count == 158
+    point = [0] * 23
+    point[4], point[13], point[22] = 1, 1, 45
+    point[16], point[20], point[21] = Fraction(11, 2), Fraction(19, 2), Fraction(11, 2)
+    assert solution.point == tuple(Fraction(x) for x in point)
+    check_certificate(lp, solution)

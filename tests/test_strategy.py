@@ -1,5 +1,8 @@
 """Strategy construction, validation, generation, and the weight bound."""
 
+import hashlib
+import json
+
 import pytest
 
 from pebbling import families, strategy
@@ -273,3 +276,27 @@ def test_json_root_outside_graph_rejected():
     with pytest.raises(StrategyError, match="outside"):
         strategy_set_from_json({"root": 9, "strategies": [{"parent": {"1": 0}}]},
                                families.path(5))
+
+
+@pytest.mark.parametrize("g,sizes,digest", [
+    (families.petersen(), [3] * 10,
+     "0d1f31a3761861a1342eb67c76e1d4064665907d701244408be158a95f27f40a"),
+    (families.cycle(6), [2] * 6,
+     "dcffb7ecd05102f2b94f9a7da809d33ec74dfc17eca3788ad25aa94b140ff9cf"),
+    (families.hypercube(3), [21] * 8,
+     "e12ded819f73b3e8c0ac2e1e4a6de6cea605762323118b8d723288c49e062da9"),
+], ids=["petersen", "cycle6", "hypercube3"])
+def test_greedy_search_output_pinned(g, sizes, digest):
+    # every root's set, as the full-vertex coverage scan of the descent chose it
+    sets = [strategy_set_to_json(generate_strategies(g, r, "greedy-search"))
+            for r in range(g.n)]
+    assert [len(s["strategies"]) for s in sets] == sizes
+    assert hashlib.sha256(json.dumps(sets, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_greedy_search_cycle6_root0_pinned():
+    ss = generate_strategies(families.cycle(6), 0, "greedy-search")
+    assert strategy_set_to_json(ss)["strategies"] == [
+        {"parent": {"1": 0, "2": 1, "3": 2}, "weight": {"1": 4, "2": 2, "3": 1}},
+        {"parent": {"3": 4, "4": 5, "5": 0}, "weight": {"3": 1, "4": 2, "5": 4}},
+    ]
