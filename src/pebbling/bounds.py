@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .graph import Graph
-from .lp import build_relaxation, check_certificate, fraction_text, solve_max
+from .graph import Graph, Orbit, root_orbits
+from .lp import (LinearProgram, LpSolution, build_relaxation, check_certificate,
+                 fraction_text, solve_max)
 from .solver import map_roots
-from .strategy import StrategySet, coverage, generate_strategies, unit_weight
+from .strategy import (Strategy, StrategyError, StrategySet, coverage, generate_strategies,
+                       unit_weight, validate_strategy)
 
 
 @dataclass(frozen=True)
@@ -102,21 +104,79 @@ def lp_bound(g: Graph, root: int, ss: StrategySet) -> BoundReport:
     positive entry, so the relaxation is never unbounded; the check would
     reject an unbounded result too.
     """
+    return _solved_lp_report(g, root, ss)[0]
+
+
+def _solved_lp_report(g: Graph, root: int, ss: StrategySet) -> tuple[BoundReport, LpSolution]:
+    """lp_bound's report together with the optimum it certifies."""
     report = ratio_report(g, root, ss)
     lp = build_relaxation(g, root, ss)
     solution = solve_max(lp)
+    return _with_checked_lp(report, lp, solution), solution
+
+
+def _with_checked_lp(report: BoundReport, lp: LinearProgram, solution: LpSolution) -> BoundReport:
     check_certificate(lp, solution)
     z = solution.value
     return replace(report, lp_value=z, lp_bound=math.floor(z) + 1, lp_dual=solution.dual)
 
 
-def _bound_one_root(g, method, gen, maxlen, budget, seed, root):
+def _mapped_strategies(g: Graph, ss: StrategySet, sigma) -> StrategySet:
+    """The strategy set carried along the vertex map sigma, every strategy validated."""
+    mapped = []
+    for i, s in enumerate(ss.strategies):
+        image = Strategy(sigma[s.root], {sigma[v]: sigma[p] for v, p in s.parent.items()},
+                         {sigma[v]: w for v, w in s.weight.items()})
+        ok, problem = validate_strategy(g, image)
+        if not ok:
+            raise StrategyError(f"strategy {i} mapped from root {ss.root}: {problem}")
+        mapped.append(image)
+    return StrategySet(sigma[ss.root], tuple(mapped))
+
+
+def _mapped_solution(n: int, rep: int, root: int, solution: LpSolution, sigma) -> LpSolution:
+    """The representative's optimum in the member root's variables; the dual is unchanged.
+
+    The relaxation's variables are the non-root vertices in ascending
+    order, so the point is re-indexed through sigma, while the strategies,
+    and with them the dual's multipliers, keep their order.
+    """
+    at = {sigma[v]: x for v, x in zip((v for v in range(n) if v != rep), solution.point)}
+    return replace(solution, point=tuple(at[u] for u in range(n) if u != root))
+
+
+def _bound_orbit(g, method, gen, maxlen, budget, seed, orbit: Orbit):
+    """Outcomes for every root of an orbit from one generation and one LP.
+
+    The representative's strategies are mapped to each member root and
+    validated there, and its optimum is re-checked against the member's
+    own relaxation, so no bound is copied unchecked.  If the representative
+    fails, every member is bounded on its own, so each failure names that
+    root's vertices.
+    """
+    rep = orbit.rep
     try:
-        ss = generate_strategies(g, root, gen, maxlen=maxlen, budget=budget, seed=seed)
-        report = lp_bound(g, root, ss) if method == "lp" else ratio_report(g, root, ss)
-        return root, report, None
+        ss = generate_strategies(g, rep, gen, maxlen=maxlen, budget=budget, seed=seed)
+        if method == "lp":
+            report, solution = _solved_lp_report(g, rep, ss)
+        else:
+            report, solution = ratio_report(g, rep, ss), None
     except ValueError as exc:
-        return root, None, str(exc)
+        bound_alone = functools.partial(_bound_orbit, g, method, gen, maxlen, budget, seed)
+        return [(rep, None, str(exc))] + [bound_alone(Orbit(root, ()))[0]
+                                          for root, _ in orbit.members]
+    outcomes = [(rep, report, None)]
+    for root, sigma in orbit.members:
+        try:
+            mapped = _mapped_strategies(g, ss, sigma)
+            report = ratio_report(g, root, mapped)
+            if solution is not None:
+                report = _with_checked_lp(report, build_relaxation(g, root, mapped),
+                                          _mapped_solution(g.n, rep, root, solution, sigma))
+            outcomes.append((root, report, None))
+        except ValueError as exc:
+            outcomes.append((root, None, str(exc)))
+    return outcomes
 
 
 def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
@@ -124,16 +184,23 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
                 seed: int = 0, threads: int = 1) -> GraphBounds:
     """Bound the pebbling number of the whole graph: one report per root.
 
+    Roots are grouped into automorphism orbits, and each worker takes a
+    whole orbit: strategies are generated and the LP solved at its least
+    root only, then carried to the other roots, where every mapped strategy
+    is validated and the mapped optimum passes its certificate against that
+    root's own relaxation.  On a vertex-transitive graph one LP is solved
+    and every other root is certificate-checked.
+
     The overall bound is the maximum over roots of the tightest per-root
     bound; it is only reported when every root produced one.
     """
     if method not in ("ratio", "lp"):
         raise ValueError(f"unknown bound method {method!r}")
-    bound_root = functools.partial(_bound_one_root, g, method, gen, maxlen, budget, seed)
-    outcomes = map_roots(bound_root, range(g.n), threads)
+    bound_orbit = functools.partial(_bound_orbit, g, method, gen, maxlen, budget, seed)
+    outcomes = map_roots(bound_orbit, root_orbits(g), threads)
     per_root: dict[int, BoundReport] = {}
     failures: dict[int, str] = {}
-    for root, report, error in outcomes:
+    for root, report, error in sorted(o for orbit in outcomes for o in orbit):
         if report is None:
             failures[root] = error
         else:

@@ -281,7 +281,7 @@ def _add_max_configs_arg(sub) -> None:
 
 def _add_threads_arg(sub) -> None:
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker processes, each taking whole roots (default: all cores)")
+                     help="worker processes, each taking whole root orbits (default: all cores)")
 
 
 def _add_gen_args(sub) -> None:

@@ -2,12 +2,15 @@
 
 Vertices are the integers 0..n-1.  Adjacency is stored as a tuple of sorted
 neighbor tuples so graphs hash, compare, and iterate deterministically.
+root_orbits groups the vertices by automorphism, so whole-graph answers can
+be computed once per orbit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -159,3 +162,142 @@ def read_edge_list(path) -> Graph:
 def write_edge_list(g: Graph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_edge_list(g))
+
+
+# ---------------------------------------------------------------------------
+# root orbits under automorphisms
+
+_ORBIT_SEARCH_STEPS = 10_000  # candidate images tried per (representative, root) pair
+
+
+class Orbit(NamedTuple):
+    """Roots that automorphisms carry onto each other.
+
+    rep is the least root of the orbit; members pairs every other root with
+    an automorphism sigma, a tuple of vertex images with sigma[rep] == root.
+    """
+
+    rep: int
+    members: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def is_automorphism(g: Graph, sigma) -> bool:
+    """Whether sigma is a permutation of the vertices that maps the edge set onto itself."""
+    if sorted(sigma) != list(range(g.n)):
+        return False
+    return all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+
+
+def _search_order(g: Graph, start: int) -> tuple[list[int], list[int | None]]:
+    """Vertices in breadth-first order from start, each with an earlier neighbor.
+
+    Components not containing start follow, each from its least vertex,
+    whose anchor is None.
+    """
+    order: list[int] = []
+    anchor: list[int | None] = [None] * g.n
+    seen = [False] * g.n
+    for s in [start] + list(range(g.n)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in g.adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    anchor[v] = u
+                    queue.append(v)
+    return order, anchor
+
+
+def _find_automorphism(g: Graph, dist, profile, order, anchor, rep: int, root: int):
+    """An automorphism sending rep to root, or None if none turns up in the step limit.
+
+    Backtracking over order: a vertex may only go to an unused image at the
+    same distance from root as it is from rep, with the same distance
+    profile, adjacent to its anchor's image, and adjacent to exactly the
+    images of its already placed neighbors.
+    """
+    n = g.n
+    neighbor_sets = [set(a) for a in g.adj]
+    sigma: list[int | None] = [None] * n
+    used = [False] * n
+    sigma[rep] = root
+    used[root] = True
+    from_rep, from_root = dist[rep], dist[root]
+    steps = 0
+
+    def candidates(v):
+        a = anchor[v]
+        pool = range(n) if a is None else g.adj[sigma[a]]
+        return iter([c for c in pool if not used[c] and from_root[c] == from_rep[v]
+                     and profile[c] == profile[v]])
+
+    def fits(v, c) -> bool:
+        placed = 0
+        for u in g.adj[v]:
+            if sigma[u] is not None:
+                if sigma[u] not in neighbor_sets[c]:
+                    return False
+                placed += 1
+        return placed == sum(used[w] for w in g.adj[c])
+
+    choices = [None] * n  # choices[i]: the untried images of order[i]
+    if n > 1:
+        choices[1] = candidates(order[1])
+    i = 1
+    while i < n:
+        if i == 0:
+            return None
+        v = order[i]
+        if sigma[v] is not None:
+            used[sigma[v]] = False
+            sigma[v] = None
+        for c in choices[i]:
+            steps += 1
+            if steps > _ORBIT_SEARCH_STEPS:
+                return None
+            if fits(v, c):
+                sigma[v] = c
+                used[c] = True
+                break
+        if sigma[v] is None:
+            i -= 1
+            continue
+        i += 1
+        if i < n:
+            choices[i] = candidates(order[i])
+    return tuple(sigma)
+
+
+def root_orbits(g: Graph) -> tuple[Orbit, ...]:
+    """The vertices grouped into orbits of the automorphism group, least root first.
+
+    Each root joins the orbit of the first representative an automorphism
+    sends to it; every such map is checked with is_automorphism before it
+    is kept.  Two roots with different sorted distance profiles are never
+    compared.  A search that exceeds its step limit leaves the root to
+    start an orbit of its own, which is slower for the caller but never
+    wrong.
+    """
+    dist = [distances_from(g, v) for v in range(g.n)]
+    profile = [tuple(sorted(-1 if d is None else d for d in row)) for row in dist]
+    placed = [False] * g.n
+    orbits = []
+    for rep in range(g.n):
+        if placed[rep]:
+            continue
+        order, anchor = _search_order(g, rep)
+        members = []
+        for root in range(rep + 1, g.n):
+            if placed[root] or profile[root] != profile[rep]:
+                continue
+            sigma = _find_automorphism(g, dist, profile, order, anchor, rep, root)
+            if sigma is not None and is_automorphism(g, sigma):
+                members.append((root, sigma))
+                placed[root] = True
+        orbits.append(Orbit(rep, tuple(members)))
+    return tuple(orbits)

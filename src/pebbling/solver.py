@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .graph import Graph, GraphError, distances_from, is_connected
+from .graph import Graph, GraphError, distances_from, is_connected, root_orbits
 
 DEFAULT_MAX_CONFIGS = 10_000_000
 
@@ -73,9 +73,10 @@ def default_threads() -> int:
 def map_roots(fn, jobs: Sequence, threads: int) -> list:
     """[fn(job) for job in jobs], spread over up to `threads` worker processes.
 
-    The package's one process pool: each job is a whole root, so workers
-    never share a level scan.  Results come back in job order, and the
-    first job to raise, in that order, raises here.
+    The package's one process pool: each job is one root orbit (its least
+    root, for pebbling_number_max; the whole orbit, for bound_graph), so
+    workers never share a level scan or an LP.  Results come back in job
+    order, and the first job to raise, in that order, raises here.
     """
     if threads <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
@@ -330,7 +331,7 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
     configuration is solvable is the answer.  Raises EnumerationCapError if a
     level would enumerate more than max_configs configurations.  One root
     always scans in this process: threads is accepted and ignored, and
-    pebbling_number_max spreads the roots of a graph over processes.
+    pebbling_number_max spreads a graph's root orbits over processes.
     """
     geometry, caps = _level_space(g, root)
     ecc = max(geometry.dist)
@@ -377,9 +378,14 @@ def pebbling_number_max(g: Graph, *, max_configs: int = DEFAULT_MAX_CONFIGS,
                         threads: int = 1) -> PebblingResult:
     """Pebbling number of the graph: the rooted value maximized over all roots.
 
-    Roots go to up to `threads` worker processes; the first maximum in root
-    order wins, so every thread count gives the serial sweep's result.
+    An automorphism carries a root's pebbling number and critical
+    configurations to every root of its orbit, so only the least root of
+    each orbit is scanned; on a vertex-transitive graph that is one scan.
+    The scans go to up to `threads` worker processes, one orbit each.  The
+    first maximum in root order is always the least root of its orbit, so
+    the result is the full sweep's, critical configuration included.
     """
     scan = functools.partial(pebbling_number, g, max_configs=max_configs)
-    results = map_roots(scan, range(g.n), threads)
+    reps = [orbit.rep for orbit in root_orbits(g)]
+    results = map_roots(scan, reps, threads)
     return max(results, key=lambda r: r.value)

@@ -8,13 +8,14 @@ from importlib import resources
 import pytest
 
 from conftest import small_catalog
-from pebbling import families
+from pebbling import families, graph
 from pebbling.bounds import (BoundReport, aggregate_bound, bound_graph,
                              lp_bound, min_coverage, ratio_bound,
                              total_unit_weight)
 from pebbling import bounds
+from pebbling.graph import Orbit
 from pebbling.lp import CertificateError, build_relaxation, check_certificate, solve_max
-from pebbling.solver import pebbling_number
+from pebbling.solver import pebbling_number, pebbling_number_max
 from pebbling.strategy import (CoverageError, StrategySet, generate_strategies,
                                strategy_from_path, strategy_set_from_json)
 
@@ -138,11 +139,11 @@ def test_bound_graph_collects_per_root_failures():
     # cannot cover the far side
     g = families.path(3)
     result = bound_graph(g, method="ratio", gen="all-paths", maxlen=1)
-    assert sorted(result.failures) == [0, 2]
+    # roots 0 and 2 are one orbit: each failure names its own root's vertices
+    assert result.failures == {0: "no strategy covers vertices [2]",
+                               2: "no strategy covers vertices [0]"}
     assert sorted(result.per_root) == [1]
     assert result.overall_bound is None
-    for msg in result.failures.values():
-        assert "covers" in msg
 
 
 # -- whole-graph reports ------------------------------------------------------
@@ -212,3 +213,104 @@ def test_bound_graph_thread_count_does_not_change_reports(petersen):
     parallel = bound_graph(petersen, method="ratio", threads=2)
     assert serial.per_root == parallel.per_root
     assert serial.overall_bound == parallel.overall_bound
+
+
+# -- one generation and one LP per root orbit ---------------------------------
+
+GENERATORS = ("greedy-search", "all-paths", "bfs-trees")
+ORBIT_GRAPHS = [
+    ("petersen", families.petersen()),
+    ("cycle(6)", families.cycle(6)),
+    ("hypercube(3)", families.hypercube(3)),
+    ("bruhat(3)", families.bruhat(3)),
+    ("path(5)", families.path(5)),
+    ("tree", families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4])),
+]
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("name,g", [pytest.param(*row, id=row[0]) for row in ORBIT_GRAPHS])
+def test_orbit_bounds_equal_a_full_sweep(name, g, gen):
+    result = bound_graph(g, method="lp", gen=gen)
+    assert not result.failures
+    for root in range(g.n):
+        alone = lp_bound(g, root, generate_strategies(g, root, gen))
+        got = result.per_root[root]
+        assert (got.ratio_bound, got.lp_bound, got.lp_value) \
+            == (alone.ratio_bound, alone.lp_bound, alone.lp_value), f"{name} root {root}"
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_vertex_transitive_graph_solves_one_lp_and_checks_every_root(petersen, monkeypatch):
+    generated = _counting(monkeypatch, bounds, "generate_strategies")
+    solved = _counting(monkeypatch, bounds, "solve_max")
+    built = _counting(monkeypatch, bounds, "build_relaxation")
+    checked = _counting(monkeypatch, bounds, "check_certificate")
+    result = bound_graph(petersen, method="lp")
+    assert sorted(result.per_root) == list(range(10))
+    assert (len(generated), len(solved)) == (1, 1)
+    # every root's relaxation is built from its own strategy set and checked
+    assert sorted(args[1] for args in built) == list(range(10))
+    assert len(checked) == 10
+
+
+def _not_an_automorphism(g):
+    # sends path(4)'s end 0 to the other end 3, but keeps 1 and 2 in place
+    return (Orbit(0, ((3, (3, 1, 2, 0)),)), Orbit(1, ((2, (3, 2, 1, 0)),)))
+
+
+@pytest.mark.parametrize("method", ["lp", "ratio"])
+def test_a_bad_orbit_map_never_yields_a_bound(monkeypatch, method):
+    g = families.path(4)
+    monkeypatch.setattr(bounds, "root_orbits", _not_an_automorphism)
+    result = bound_graph(g, method=method, gen="all-paths")
+    assert set(result.per_root) == {0, 1, 2}
+    assert set(result.failures) == {3}
+    assert "mapped from root 0" in result.failures[3]
+    assert "is not an edge of the graph" in result.failures[3]
+    assert result.overall_bound is None
+
+
+def test_a_mapped_optimum_must_pass_its_own_certificate(monkeypatch):
+    # a mapping that forgets to move the point into the member's variables
+    monkeypatch.setattr(bounds, "_mapped_solution",
+                        lambda n, rep, root, solution, sigma: solution)
+    result = bound_graph(families.path(3), method="lp", gen="all-paths")
+    assert sorted(result.per_root) == [0, 1]
+    assert "violates constraint" in result.failures[2]
+    assert result.overall_bound is None
+
+
+def test_a_failing_representative_bounds_members_on_their_own():
+    # paths of length 2 reach two steps from the root: only the middle covers
+    result = bound_graph(families.path(5), method="lp", gen="all-paths", maxlen=2)
+    assert result.failures == {0: "no strategy covers vertices [3, 4]",
+                               1: "no strategy covers vertices [4]",
+                               3: "no strategy covers vertices [0]",
+                               4: "no strategy covers vertices [0, 1]"}
+    assert sorted(result.per_root) == [2]
+
+
+def test_orbit_search_past_its_step_limit_changes_nothing(petersen, monkeypatch):
+    def results():
+        bounded = [bound_graph(g, method="lp") for g in (petersen, families.path(7))]
+        return ([(b.failures, b.overall_bound,
+                  {r: (x.ratio_bound, x.lp_bound, x.lp_value) for r, x in b.per_root.items()})
+                 for b in bounded],
+                pebbling_number_max(petersen), pebbling_number_max(families.cycle(6)))
+
+    with_orbits = results()
+    monkeypatch.setattr(graph, "_ORBIT_SEARCH_STEPS", 0)
+    assert len(graph.root_orbits(petersen)) == 10
+    assert results() == with_orbits

@@ -155,9 +155,10 @@ def test_max_unsolvable(path4_file, capsys):
     assert payload["config"] == "3:7"
 
 
-def test_enumeration_cap_in_workers_is_a_clean_error(petersen_file, capsys):
-    code, _, err = run(capsys, "pi", "--graph", petersen_file,
-                       "--max-configs", "10", "--threads", "2")
+def test_enumeration_cap_in_workers_is_a_clean_error(path4_file, capsys):
+    # two root orbits, so two workers take one each
+    code, _, err = run(capsys, "pi", "--graph", path4_file,
+                       "--max-configs", "5", "--threads", "2")
     assert code == 1
     assert err.startswith("error: level ")
     assert err.rstrip().endswith("were verified")

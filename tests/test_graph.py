@@ -1,9 +1,11 @@
-"""Graph construction, BFS metrics, and the edge-list file format."""
+"""Graph construction, BFS metrics, the edge-list file format and root orbits."""
+
+import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pebbling import families
+from pebbling import families, graph
 from pebbling.graph import (
     GraphError,
     GraphFormatError,
@@ -14,6 +16,7 @@ from pebbling.graph import (
     is_connected,
     new_graph,
     read_edge_list,
+    root_orbits,
     to_edge_list,
     write_edge_list,
 )
@@ -149,3 +152,108 @@ def test_round_trip_any_graph(data):
     n, edges = data
     g = new_graph(n, list(edges))
     assert from_edge_list(to_edge_list(g)) == g
+
+
+# ---------------------------------------------------------------------------
+# root orbits
+
+def _edge_set(g):
+    return {frozenset(e) for e in g.edges()}
+
+
+def _roots(orbit):
+    return (orbit.rep,) + tuple(root for root, _ in orbit.members)
+
+
+def _assert_orbits_are_checked(g, orbits):
+    roots = [r for orbit in orbits for r in _roots(orbit)]
+    assert sorted(roots) == list(range(g.n))
+    assert [orbit.rep for orbit in orbits] == sorted(orbit.rep for orbit in orbits)
+    for orbit in orbits:
+        assert orbit.rep == min(_roots(orbit))
+        for root, sigma in orbit.members:
+            assert sorted(sigma) == list(range(g.n))
+            assert sigma[orbit.rep] == root
+            assert {frozenset((sigma[u], sigma[v])) for u, v in g.edges()} == _edge_set(g)
+
+
+def _relabel(g, perm):
+    return new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+ORBIT_COUNTS = [
+    ("bruhat(3)", families.bruhat(3), 1),
+    ("bruhat(4)", families.bruhat(4), 1),
+    ("petersen", families.petersen(), 1),
+    *((f"cycle({n})", families.cycle(n), 1) for n in range(5, 10)),
+    ("hypercube(3)", families.hypercube(3), 1),
+    ("hypercube(4)", families.hypercube(4), 1),
+    ("complete(5)", families.complete(5), 1),
+    ("path(7)", families.path(7), 4),
+    ("tree", families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]), 7),
+]
+
+
+@pytest.mark.parametrize("name,g,count",
+                         [pytest.param(*row, id=row[0]) for row in ORBIT_COUNTS])
+def test_root_orbit_counts(name, g, count):
+    orbits = root_orbits(g)
+    assert len(orbits) == count
+    _assert_orbits_are_checked(g, orbits)
+
+
+def test_path_orbits_pair_mirror_roots():
+    orbits = root_orbits(families.path(7))
+    assert [_roots(orbit) for orbit in orbits] == [(0, 6), (1, 5), (2, 4), (3,)]
+    assert orbits[0].members == ((6, (6, 5, 4, 3, 2, 1, 0)),)
+
+
+def _true_orbit_sizes(g):
+    """Orbit sizes from every permutation of a small graph's vertices."""
+    edges = _edge_set(g)
+    autos = [p for p in itertools.permutations(range(g.n))
+             if {frozenset((p[u], p[v])) for u, v in g.edges()} == edges]
+    orbits = {frozenset(p[v] for p in autos) for v in range(g.n)}
+    return sorted(len(o) for o in orbits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda e: e[0] != e[1]), max_size=10))))
+def test_root_orbits_are_the_automorphism_orbits(data):
+    # disconnected graphs included: the search has no connectivity precondition
+    n, edges = data
+    g = new_graph(n, list(edges))
+    orbits = root_orbits(g)
+    _assert_orbits_are_checked(g, orbits)
+    assert sorted(len(_roots(orbit)) for orbit in orbits) == _true_orbit_sizes(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([row[1] for row in ORBIT_COUNTS if row[1].n <= 10]
+                       + [families.path(6), families.tree_from_parents([-1, 0, 0, 1, 1, 2, 2])])
+       .flatmap(lambda g: st.tuples(st.just(g), st.permutations(range(g.n)))))
+def test_root_orbits_survive_relabelling(data):
+    g, perm = data
+    relabelled = _relabel(g, perm)
+    before, after = root_orbits(g), root_orbits(relabelled)
+    _assert_orbits_are_checked(relabelled, after)
+    assert len(after) == len(before)
+    assert sorted(len(_roots(o)) for o in after) == sorted(len(_roots(o)) for o in before)
+
+
+def test_root_orbits_past_the_step_limit_are_singletons(monkeypatch):
+    monkeypatch.setattr(graph, "_ORBIT_SEARCH_STEPS", 0)
+    for g in (families.petersen(), families.path(7), families.complete(2)):
+        assert [_roots(orbit) for orbit in root_orbits(g)] == [(v,) for v in range(g.n)]
+
+
+def test_is_automorphism():
+    g = families.path(4)
+    assert graph.is_automorphism(g, (3, 2, 1, 0))
+    assert graph.is_automorphism(g, (0, 1, 2, 3))
+    assert not graph.is_automorphism(g, (1, 0, 2, 3))   # not edge-preserving
+    assert not graph.is_automorphism(g, (0, 0, 2, 3))   # not a bijection
+    assert not graph.is_automorphism(g, (0, 1, 2))      # wrong length

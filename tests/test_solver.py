@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pebbling import families
+from pebbling import families, solver
 from pebbling.solver import (
     ConfigFormatError,
     EnumerationCapError,
@@ -197,7 +197,7 @@ def test_enumeration_cap_error_survives_pickling():
 
 
 def test_enumeration_cap_is_the_same_in_worker_processes():
-    g = families.petersen()
+    g = families.path(5)  # three root orbits, so two workers take one each
     with pytest.raises(EnumerationCapError) as serial:
         pebbling_number_max(g, max_configs=10, threads=1)
     with pytest.raises(EnumerationCapError) as parallel:
@@ -216,6 +216,40 @@ def test_thread_count_does_not_change_results(binary7):
     for g in (families.cycle(6), families.petersen(), binary7):
         assert pebbling_number_max(g, threads=1) == pebbling_number_max(g, threads=2)
     assert pebbling_number_max(binary7, threads=2) == pebbling_number(binary7, 3)
+
+
+def _all_roots_sweep(g):
+    """The first maximum in root order over every root's own scan."""
+    return max((pebbling_number(g, root) for root in range(g.n)), key=lambda r: r.value)
+
+
+@pytest.mark.parametrize("g", [
+    families.path(5), families.path(6), families.cycle(6), families.cycle(7),
+    families.petersen(), families.hypercube(3), families.complete(5),
+    families.tree_from_parents([-1, 0, 0, 1, 1, 2, 2]),
+    families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]),
+    # path(5) relabelled as 3-1-0-2-4: the maximum sits at roots 3 and 4
+    families.tree_from_parents([-1, 0, 0, 1, 2]),
+], ids=["path5", "path6", "cycle6", "cycle7", "petersen", "hypercube3", "complete5",
+        "binary7", "tree-a", "relabelled-path5"])
+def test_pebbling_number_max_equals_an_all_roots_sweep(g):
+    assert pebbling_number_max(g) == _all_roots_sweep(g)
+
+
+def test_pebbling_number_max_scans_one_root_per_orbit(monkeypatch):
+    scanned = []
+    original = solver.pebbling_number
+
+    def scan(g, root, **kwargs):
+        scanned.append(root)
+        return original(g, root, **kwargs)
+
+    monkeypatch.setattr(solver, "pebbling_number", scan)
+    pebbling_number_max(families.petersen())
+    assert scanned == [0]
+    scanned.clear()
+    pebbling_number_max(families.path(5))
+    assert scanned == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
