@@ -189,7 +189,11 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
     root only, then carried to the other roots, where every mapped strategy
     is validated and the mapped optimum passes its certificate against that
     root's own relaxation.  On a vertex-transitive graph one LP is solved
-    and every other root is certificate-checked.
+    and every other root is certificate-checked.  Every root of an orbit
+    thus reports the least root's strategy set, mapped; generators that
+    break ties by vertex number or shuffle with the seed may give another,
+    equally sound, bound when run at that root itself (as lp_bound on
+    generate_strategies(g, root, gen) does).
 
     The overall bound is the maximum over roots of the tightest per-root
     bound; it is only reported when every root produced one.

@@ -167,7 +167,7 @@ def write_edge_list(g: Graph, path) -> None:
 # ---------------------------------------------------------------------------
 # root orbits under automorphisms
 
-_ORBIT_SEARCH_STEPS = 10_000  # candidate images tried per (representative, root) pair
+_ORBIT_SEARCH_STEPS = 1_000_000  # candidate images tried per root_orbits call, all searches together
 
 
 class Orbit(NamedTuple):
@@ -213,16 +213,17 @@ def _search_order(g: Graph, start: int) -> tuple[list[int], list[int | None]]:
     return order, anchor
 
 
-def _find_automorphism(g: Graph, dist, profile, order, anchor, rep: int, root: int):
-    """An automorphism sending rep to root, or None if none turns up in the step limit.
+def _find_automorphism(g: Graph, neighbor_sets, dist, profile, order, anchor,
+                       rep: int, root: int, steps_left: int):
+    """An automorphism sending rep to root, and the candidate images tried for it.
 
     Backtracking over order: a vertex may only go to an unused image at the
     same distance from root as it is from rep, with the same distance
     profile, adjacent to its anchor's image, and adjacent to exactly the
-    images of its already placed neighbors.
+    images of its already placed neighbors.  The map is None if there is
+    none, or if the search would try more than steps_left images.
     """
     n = g.n
-    neighbor_sets = [set(a) for a in g.adj]
     sigma: list[int | None] = [None] * n
     used = [False] * n
     sigma[rep] = root
@@ -251,15 +252,15 @@ def _find_automorphism(g: Graph, dist, profile, order, anchor, rep: int, root: i
     i = 1
     while i < n:
         if i == 0:
-            return None
+            return None, steps
         v = order[i]
         if sigma[v] is not None:
             used[sigma[v]] = False
             sigma[v] = None
         for c in choices[i]:
             steps += 1
-            if steps > _ORBIT_SEARCH_STEPS:
-                return None
+            if steps > steps_left:
+                return None, steps
             if fits(v, c):
                 sigma[v] = c
                 used[c] = True
@@ -270,7 +271,7 @@ def _find_automorphism(g: Graph, dist, profile, order, anchor, rep: int, root: i
         i += 1
         if i < n:
             choices[i] = candidates(order[i])
-    return tuple(sigma)
+    return tuple(sigma), steps
 
 
 def root_orbits(g: Graph) -> tuple[Orbit, ...]:
@@ -279,12 +280,14 @@ def root_orbits(g: Graph) -> tuple[Orbit, ...]:
     Each root joins the orbit of the first representative an automorphism
     sends to it; every such map is checked with is_automorphism before it
     is kept.  Two roots with different sorted distance profiles are never
-    compared.  A search that exceeds its step limit leaves the root to
-    start an orbit of its own, which is slower for the caller but never
-    wrong.
+    compared.  All searches share one step limit; once it is spent, every
+    root not yet placed starts an orbit of its own, which is slower for the
+    caller but never wrong.
     """
     dist = [distances_from(g, v) for v in range(g.n)]
     profile = [tuple(sorted(-1 if d is None else d for d in row)) for row in dist]
+    neighbor_sets = [set(a) for a in g.adj]
+    steps_left = _ORBIT_SEARCH_STEPS
     placed = [False] * g.n
     orbits = []
     for rep in range(g.n):
@@ -293,9 +296,13 @@ def root_orbits(g: Graph) -> tuple[Orbit, ...]:
         order, anchor = _search_order(g, rep)
         members = []
         for root in range(rep + 1, g.n):
+            if steps_left <= 0:
+                break
             if placed[root] or profile[root] != profile[rep]:
                 continue
-            sigma = _find_automorphism(g, dist, profile, order, anchor, rep, root)
+            sigma, steps = _find_automorphism(g, neighbor_sets, dist, profile, order, anchor,
+                                              rep, root, steps_left)
+            steps_left -= steps
             if sigma is not None and is_automorphism(g, sigma):
                 members.append((root, sigma))
                 placed[root] = True

@@ -13,7 +13,7 @@ from pebbling.bounds import (BoundReport, aggregate_bound, bound_graph,
                              lp_bound, min_coverage, ratio_bound,
                              total_unit_weight)
 from pebbling import bounds
-from pebbling.graph import Orbit
+from pebbling.graph import Orbit, root_orbits
 from pebbling.lp import CertificateError, build_relaxation, check_certificate, solve_max
 from pebbling.solver import pebbling_number, pebbling_number_max
 from pebbling.strategy import (CoverageError, StrategySet, generate_strategies,
@@ -208,9 +208,14 @@ def test_reports_ignore_strategy_order(petersen):
     assert a.lp_value == b.lp_value
 
 
-def test_bound_graph_thread_count_does_not_change_reports(petersen):
-    serial = bound_graph(petersen, method="ratio", threads=1)
-    parallel = bound_graph(petersen, method="ratio", threads=2)
+def test_bound_graph_thread_count_does_not_change_reports():
+    # several orbits, so threads=2 really sends orbits, strategy sets and
+    # mapped duals through the process pool
+    g = families.path(7)
+    assert len(root_orbits(g)) > 1
+    serial = bound_graph(g, method="lp", threads=1)
+    parallel = bound_graph(g, method="lp", threads=2)
+    assert sorted(parallel.per_root) == list(range(g.n))
     assert serial.per_root == parallel.per_root
     assert serial.overall_bound == parallel.overall_bound
 

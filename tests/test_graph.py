@@ -250,6 +250,26 @@ def test_root_orbits_past_the_step_limit_are_singletons(monkeypatch):
         assert [_roots(orbit) for orbit in root_orbits(g)] == [(v,) for v in range(g.n)]
 
 
+def test_root_orbits_share_one_step_limit(monkeypatch):
+    # petersen needs 88 candidate images in all, about 9 per root: a limit of
+    # 30 ends the call part way through, however few steps each search takes
+    tried = []
+    search = graph._find_automorphism
+
+    def counting(*args):
+        sigma, steps = search(*args)
+        tried.append(steps)
+        return sigma, steps
+
+    monkeypatch.setattr(graph, "_find_automorphism", counting)
+    monkeypatch.setattr(graph, "_ORBIT_SEARCH_STEPS", 30)
+    g = families.petersen()
+    orbits = root_orbits(g)
+    assert sum(tried) <= 31
+    _assert_orbits_are_checked(g, orbits)
+    assert 1 < len(orbits) < g.n
+
+
 def test_is_automorphism():
     g = families.path(4)
     assert graph.is_automorphism(g, (3, 2, 1, 0))
