@@ -30,6 +30,7 @@ from .solver import (
     pebbling_number_max,
 )
 from .strategy import (
+    GENERATION_METHODS,
     StrategyError,
     generate_strategies,
     load_strategy_set,
@@ -274,8 +275,18 @@ def _add_graph_arg(sub) -> None:
     sub.add_argument("--graph", required=True, help="edge-list file")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_max_configs_arg(sub) -> None:
-    sub.add_argument("--max-configs", type=int, default=None,
+    sub.add_argument("--max-configs", type=_positive_int, default=DEFAULT_MAX_CONFIGS,
                      help="cap on configurations per enumerated level")
 
 
@@ -284,9 +295,9 @@ def _add_threads_arg(sub) -> None:
                      help="worker processes, each taking whole root orbits (default: all cores)")
 
 
-def _add_gen_args(sub) -> None:
-    sub.add_argument("--method", default="greedy-search",
-                     choices=("all-paths", "bfs-trees", "greedy-search"),
+def _add_gen_args(sub, flag: str) -> None:
+    """Strategy generation options; bound names the method --gen, strategies --method."""
+    sub.add_argument(flag, default="greedy-search", choices=GENERATION_METHODS,
                      help="strategy generation method")
     sub.add_argument("--maxlen", type=int, default=None, help="path length cap")
     sub.add_argument("--budget", type=int, default=None, help="candidate budget")
@@ -337,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_verb("strategies", "generate a covering strategy set")
     _add_graph_arg(p)
     p.add_argument("--root", type=int, required=True)
-    _add_gen_args(p)
+    _add_gen_args(p, "--method")
     p.add_argument("--out", default=None, help="write the strategy set JSON here")
     p.set_defaults(func=_cmd_strategies)
 
@@ -346,11 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=None)
     p.add_argument("--strategies", default=None, help="strategy set JSON file")
     p.add_argument("--method", default="lp", choices=("ratio", "lp"))
-    p.add_argument("--gen", default="greedy-search",
-                   choices=("all-paths", "bfs-trees", "greedy-search"))
-    p.add_argument("--maxlen", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_gen_args(p, "--gen")
     _add_threads_arg(p)
     p.set_defaults(func=_cmd_bound)
 
@@ -378,8 +385,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", None) is None and hasattr(args, "threads"):
             args.threads = default_threads()
-        if getattr(args, "max_configs", -1) is None:
-            args.max_configs = DEFAULT_MAX_CONFIGS
         return args.func(args)
     except (GraphError, StrategyError, ConfigFormatError,
             EnumerationCapError, ValueError, OSError) as exc:

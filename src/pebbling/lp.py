@@ -2,9 +2,11 @@
 strategy relaxation.
 
 Maximizes c.x subject to Ax <= b, x >= 0 with b >= 0, so the slack basis is
-feasible from the start and no phase-one is needed.  Each constraint row and
-the objective are scaled to integers by the LCM of their denominators, and
-the tableau is pivoted fraction-free (Bareiss/Edmonds): the true tableau is
+feasible from the start and no phase-one is needed.  make_linear_program
+scales each row and its right-hand side to integers once, by the LCM of
+their denominators, so for fractional input constraints holds the scaled
+rows and the dual has one multiplier per scaled row.  The tableau over
+them is pivoted fraction-free (Bareiss/Edmonds): the true tableau is
 the integer one divided by a running divisor D, the previous pivot, and
 every division in a pivot is exact.  Bland's smallest-index rule picks both
 the entering and leaving variables, which rules out cycling and makes the
@@ -34,7 +36,7 @@ class CertificateError(ValueError):
 class LinearProgram:
     num_vars: int
     objective: tuple[Fraction, ...]
-    constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    constraints: tuple[tuple[tuple[int, ...], int], ...]  # integer rows and rhs
 
 
 @dataclass(frozen=True)
@@ -43,21 +45,21 @@ class LpSolution:
     value: Fraction | None
     point: tuple[Fraction, ...] | None
     pivot_count: int
-    dual: tuple[Fraction, ...] | None = None  # one multiplier per constraint
+    dual: tuple[Fraction, ...] | None = None  # one multiplier per stored row
 
 
 def make_linear_program(objective, constraints) -> LinearProgram:
-    """Normalize coefficients to Fractions and validate shapes and signs."""
+    """Validate shapes and signs; scale each row and its rhs to integers."""
     obj = tuple(Fraction(c) for c in objective)
     rows = []
     for i, (coeffs, rhs) in enumerate(constraints):
-        row = tuple(Fraction(c) for c in coeffs)
+        values = [c if isinstance(c, int) else Fraction(c) for c in (*coeffs, rhs)]
+        *row, rhs = _integer_row(values)[0]
         if len(row) != len(obj):
             raise ValueError(f"constraint {i} has {len(row)} coefficients, expected {len(obj)}")
-        rhs = Fraction(rhs)
         if rhs < 0:
-            raise ValueError(f"constraint {i} has negative right-hand side {rhs}")
-        rows.append((row, rhs))
+            raise ValueError(f"constraint {i} has negative right-hand side {values[-1]}")
+        rows.append((tuple(row), rhs))
     return LinearProgram(len(obj), obj, tuple(rows))
 
 
@@ -67,7 +69,7 @@ def fraction_text(x: Fraction) -> str:
 
 
 def _integer_row(values) -> tuple[list[int], int]:
-    """The values times the LCM of their denominators, and that LCM."""
+    """The ints or Fractions times the LCM of their denominators, and that LCM."""
     scale = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
@@ -83,13 +85,10 @@ def solve_max(lp: LinearProgram, on_pivot=None) -> LpSolution:
     # rows[i] = integer coefficients over structurals + slacks, then the rhs;
     # the true tableau is every entry divided by the running divisor
     rows = []
-    scales = []
     for i, (coeffs, rhs) in enumerate(lp.constraints):
-        row, scale = _integer_row(coeffs + (rhs,))
         slack = [0] * m
         slack[i] = 1
-        rows.append(row[:n] + slack + row[n:])
-        scales.append(scale)
+        rows.append([*coeffs, *slack, rhs])
     objective, obj_scale = _integer_row(lp.objective)
     cost = objective + [0] * (m + 1)  # reduced costs, then minus the value
     basis = list(range(n, n + m))
@@ -128,8 +127,8 @@ def solve_max(lp: LinearProgram, on_pivot=None) -> LpSolution:
     for i, b in enumerate(basis):
         if b < n:
             point[b] = Fraction(rows[i][-1], divisor)
-    # slack i's reduced cost is minus its scaled row's multiplier
-    dual = tuple(Fraction(-cost[n + i] * scales[i], divisor * obj_scale) for i in range(m))
+    # slack i's reduced cost is minus row i's multiplier
+    dual = tuple(Fraction(-cost[n + i], divisor * obj_scale) for i in range(m))
     return LpSolution("optimal", Fraction(-cost[-1], divisor * obj_scale),
                       tuple(point), pivots, dual)
 
@@ -146,8 +145,9 @@ def check_certificate(lp: LinearProgram, solution: LpSolution) -> None:
     Checks that the point is feasible, that its objective equals the value,
     and that the dual multipliers y satisfy y >= 0, y.A >= c column by
     column and y.b = value: weak duality then bounds every feasible point's
-    objective by the value.  Rows are scaled to integers first, so the sums
-    are integer arithmetic.  Raises CertificateError on any failure.
+    objective by the value.  The stored rows are integers and the point and
+    dual are scaled to integers here, so the sums are integer arithmetic.
+    Raises CertificateError on any failure.
     """
     if solution.status != "optimal":
         raise CertificateError(f"no certificate for a {solution.status} solution")
@@ -161,17 +161,10 @@ def check_certificate(lp: LinearProgram, solution: LpSolution) -> None:
         raise CertificateError("point has a negative coordinate")
     if any(v < 0 for v in y):
         raise CertificateError("dual has a negative multiplier")
-    # over integers, row i is a_i = rows[i] / scale and b_i = rhs[i] / scale
-    rows, rhs, per_row = [], [], []
-    for (coeffs, b), v in zip(lp.constraints, y):
-        row, scale = _integer_row(coeffs + (b,))
-        rows.append(row[:n])
-        rhs.append(row[n])
-        per_row.append(v / scale)
-    # x = xs / x_den and y_i / scale_i = us[i] / u_den, in integers
+    # x = xs / x_den and y = ys / y_den, in integers
     xs, x_den = _integer_row(x)
-    us, u_den = _integer_row(per_row)
-    for i, (row, b) in enumerate(zip(rows, rhs)):
+    ys, y_den = _integer_row(y)
+    for i, (row, b) in enumerate(lp.constraints):
         if sum(a * v for a, v in zip(row, xs)) > b * x_den:
             raise CertificateError(f"point violates constraint {i}")
     objective, obj_scale = _integer_row(lp.objective)
@@ -179,10 +172,11 @@ def check_certificate(lp: LinearProgram, solution: LpSolution) -> None:
             != z.numerator * x_den * obj_scale:
         raise CertificateError(f"point's objective is not the value {z}")
     for j, c in enumerate(lp.objective):
-        column = sum(u * row[j] for u, row in zip(us, rows))
-        if column * c.denominator < c.numerator * u_den:
+        column = sum(u * row[j] for u, (row, _) in zip(ys, lp.constraints))
+        if column * c.denominator < c.numerator * y_den:
             raise CertificateError(f"dual falls short of the objective in column {j}")
-    if sum(u * b for u, b in zip(us, rhs)) * z.denominator != z.numerator * u_den:
+    if sum(u * b for u, (_, b) in zip(ys, lp.constraints)) * z.denominator \
+            != z.numerator * y_den:
         raise CertificateError(f"dual objective is not the value {z}")
 
 
@@ -199,11 +193,11 @@ def build_relaxation(g: Graph, root: int, ss: StrategySet) -> LinearProgram:
         raise GraphError(f"root {root} outside 0..{g.n - 1}")
     variables = [v for v in range(g.n) if v != root]
     position = {v: i for i, v in enumerate(variables)}
-    objective = [Fraction(1)] * len(variables)
+    objective = [1] * len(variables)
     constraints = []
     for s in ss.strategies:
-        row = [Fraction(0)] * len(variables)
+        row = [0] * len(variables)
         for v, w in s.weight.items():
-            row[position[v]] = Fraction(w)
-        constraints.append((row, Fraction(unit_weight(s))))
+            row[position[v]] = w
+        constraints.append((row, unit_weight(s)))
     return make_linear_program(objective, constraints)

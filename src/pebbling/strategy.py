@@ -20,6 +20,7 @@ from .graph import Graph, GraphError, distances_from, eccentricity
 from .solver import _bounded_compositions, _level_space, is_solvable
 
 MAX_DEPTH = 62  # keeps every weight and weight sum inside 64-bit range
+GENERATION_METHODS = ("greedy-search", "all-paths", "bfs-trees")
 _WEIGHT_LIMIT = (1 << 63) - 1
 
 
@@ -40,10 +41,6 @@ class Strategy:
     root: int
     parent: dict[int, int]
     weight: dict[int, int]
-
-    def vertices(self) -> tuple[int, ...]:
-        """Non-root strategy vertices, ascending."""
-        return tuple(sorted(self.parent))
 
 
 @dataclass(frozen=True)
@@ -387,7 +384,8 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
     elif method == "greedy-search":
         strategies = _greedy_search(g, root, ecc, maxlen, budget)
     else:
-        raise StrategyError(f"unknown generation method {method!r}")
+        raise StrategyError(f"unknown generation method {method!r}; "
+                            f"expected one of {', '.join(GENERATION_METHODS)}")
 
     coverage(g.n, root, strategies)
     return StrategySet(root, tuple(strategies))

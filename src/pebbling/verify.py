@@ -28,6 +28,7 @@ from .lp import (
 )
 from .solver import default_threads, is_solvable, pebbling_number, pebbling_number_max
 from .strategy import (
+    GENERATION_METHODS,
     generate_strategies,
     max_unsolvable_weight_check,
     strategy_set_from_json,
@@ -77,8 +78,6 @@ def sweep_catalog() -> list[tuple[str, Graph]]:
     entries.append(("hypercube(3)", families.hypercube(3)))
     return entries
 
-
-_GEN_METHODS = ("greedy-search", "all-paths", "bfs-trees")
 
 _pi_cache: dict[tuple[str, int], int] = {}
 
@@ -256,7 +255,7 @@ def _check_soundness_sweep():
     for name, g in sweep_catalog():
         for root in range(g.n):
             pi = _pi(name, g, root)
-            for method in _GEN_METHODS:
+            for method in GENERATION_METHODS:
                 ss = generate_strategies(g, root, method)
                 report = bounds.lp_bound(g, root, ss)
                 if not pi <= report.lp_bound <= report.ratio_bound:
@@ -272,7 +271,7 @@ def _check_weight_oracle():
         for root in range(g.n):
             budget = _pi(name, g, root) - 1
             seen = set()
-            for method in _GEN_METHODS:
+            for method in GENERATION_METHODS:
                 for s in generate_strategies(g, root, method).strategies:
                     key = tuple(sorted(s.weight.items()))
                     if key in seen:
@@ -336,9 +335,14 @@ def _check_simplex_oracle():
             return False, f"suite LP {i}: {exc}"
     pete = families.petersen()
     ss = generate_strategies(pete, 0, "greedy-search")
-    z = solve_max(build_relaxation(pete, 0, ss)).value
-    if z != 9:
-        return False, f"petersen relaxation optimum {z} != 9"
+    lp = build_relaxation(pete, 0, ss)
+    solution = solve_max(lp)
+    if solution.value != 9:
+        return False, f"petersen relaxation optimum {solution.value} != 9"
+    try:
+        check_certificate(lp, solution)
+    except CertificateError as exc:
+        return False, f"petersen relaxation: {exc}"
     return True, "simplex equals the basic-feasible-point oracle on the whole suite"
 
 

@@ -16,8 +16,9 @@ from pebbling import bounds
 from pebbling.graph import Orbit, root_orbits
 from pebbling.lp import CertificateError, build_relaxation, check_certificate, solve_max
 from pebbling.solver import pebbling_number, pebbling_number_max
-from pebbling.strategy import (CoverageError, StrategySet, generate_strategies,
-                               strategy_from_path, strategy_set_from_json)
+from pebbling.strategy import (GENERATION_METHODS, CoverageError, StrategySet,
+                               generate_strategies, strategy_from_path,
+                               strategy_set_from_json)
 
 
 def stored_petersen_set() -> StrategySet:
@@ -222,7 +223,6 @@ def test_bound_graph_thread_count_does_not_change_reports():
 
 # -- one generation and one LP per root orbit ---------------------------------
 
-GENERATORS = ("greedy-search", "all-paths", "bfs-trees")
 ORBIT_GRAPHS = [
     ("petersen", families.petersen()),
     ("cycle(6)", families.cycle(6)),
@@ -233,7 +233,7 @@ ORBIT_GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("gen", GENERATION_METHODS)
 @pytest.mark.parametrize("name,g", [pytest.param(*row, id=row[0]) for row in ORBIT_GRAPHS])
 def test_orbit_bounds_equal_a_full_sweep(name, g, gen):
     result = bound_graph(g, method="lp", gen=gen)

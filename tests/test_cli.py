@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -230,6 +231,18 @@ def test_lp_and_bound_json_carry_a_dual_certificate(petersen_file, tmp_path, cap
     assert all(len(entry["dual"]) >= 1 for entry in json.loads(out)["per_root"])
 
 
+def test_lp_json_on_the_stored_petersen_set_is_pinned(petersen_file, capsys):
+    data = resources.files("pebbling").joinpath("data/petersen_strategies.json")
+    code, out, _ = run(capsys, "lp", "--graph", petersen_file,
+                       "--strategies", str(data), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "status": "optimal", "value": "9/1", "bound": 10, "pivots": 4,
+        "point": ["0/1", "4/1", "4/1", "0/1", "1/1", "0/1", "0/1", "0/1", "0/1"],
+        "dual": ["1/4", "1/4", "1/4"],
+    }
+
+
 def test_lp_rejects_an_uncertified_optimum(petersen_file, tmp_path, capsys, monkeypatch):
     ss_path = tmp_path / "strategies.json"
     run(capsys, "strategies", "--graph", petersen_file, "--root", "0",
@@ -415,6 +428,16 @@ def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["conquer"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("verb", [["pi"], ["max-unsolvable", "--root", "0"]],
+                         ids=["pi", "max-unsolvable"])
+def test_max_configs_must_be_positive(verb, cap, path4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--graph", path4_file, "--max-configs", cap])
+    assert exc.value.code == 2
+    assert f"--max-configs: must be positive, got {cap}" in capsys.readouterr().err
 
 
 def test_bad_thread_env_is_a_clean_error(path4_file, monkeypatch, capsys):

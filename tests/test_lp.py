@@ -108,6 +108,17 @@ def test_random_bounded_lps_match_oracle(data):
     check_certificate(lp, solution)
 
 
+def test_fractional_rows_are_scaled_once_at_construction():
+    lp = make_linear_program([1, 1], [([Fraction(1, 4), 1], Fraction(3, 2))])
+    assert lp.constraints == (((1, 4), 6),)
+    assert all(type(x) is int for x in (*lp.constraints[0][0], lp.constraints[0][1]))
+    solution = solve_max(lp)
+    assert solution.value == basic_feasible_maximum(lp) == 6
+    # the multiplier belongs to the stored row x0 + 4 x1 <= 6
+    assert solution.dual == (Fraction(1),)
+    check_certificate(lp, solution)
+
+
 def test_certificate_reads_the_slack_costs():
     # max x0 + x1 with x0 <= 1 and 2 x1 <= 3: multipliers 1 and 1/2
     lp = make_linear_program([1, 1], [([1, 0], 1), ([0, 2], 3)])
@@ -167,6 +178,14 @@ def test_build_relaxation_shapes():
     assert lp.constraints == (((Fraction(2), Fraction(1)), Fraction(3)),)
     solution = solve_max(lp)
     assert solution.value == 3
+
+
+def test_build_relaxation_rows_are_ints():
+    # a type check, since Fraction(2) == 2
+    g = families.petersen()
+    lp = build_relaxation(g, 0, generate_strategies(g, 0, "greedy-search"))
+    assert all(type(x) is int for row, rhs in lp.constraints for x in (*row, rhs))
+    assert all(type(c) is Fraction for c in lp.objective)
 
 
 def test_build_relaxation_root_mismatch():

@@ -166,7 +166,8 @@ def test_greedy_search_is_deterministic():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(StrategyError):
+    with pytest.raises(StrategyError,
+                       match="'magic'; expected one of greedy-search, all-paths, bfs-trees"):
         generate_strategies(families.path(3), 0, "magic")
 
 
