@@ -9,7 +9,6 @@ reported here has passed the exact dual-certificate check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -17,7 +16,6 @@ from fractions import Fraction
 from .graph import Graph, Orbit, root_orbits
 from .lp import (LinearProgram, LpSolution, build_relaxation, check_certificate,
                  fraction_text, solve_max)
-from .solver import map_roots
 from .strategy import (Strategy, StrategyError, StrategySet, coverage, generate_strategies,
                        unit_weight, validate_strategy)
 
@@ -145,7 +143,7 @@ def _mapped_solution(n: int, rep: int, root: int, solution: LpSolution, sigma) -
     return replace(solution, point=tuple(at[u] for u in range(n) if u != root))
 
 
-def _bound_orbit(g, method, gen, maxlen, budget, seed, orbit: Orbit):
+def _bound_orbit(g: Graph, orbit: Orbit, method, gen, maxlen, budget, seed):
     """Outcomes for every root of an orbit from one generation and one LP.
 
     The representative's strategies are mapped to each member root and
@@ -162,9 +160,9 @@ def _bound_orbit(g, method, gen, maxlen, budget, seed, orbit: Orbit):
         else:
             report, solution = ratio_report(g, rep, ss), None
     except ValueError as exc:
-        bound_alone = functools.partial(_bound_orbit, g, method, gen, maxlen, budget, seed)
-        return [(rep, None, str(exc))] + [bound_alone(Orbit(root, ()))[0]
-                                          for root, _ in orbit.members]
+        return [(rep, None, str(exc))] + [
+            _bound_orbit(g, Orbit(root, ()), method, gen, maxlen, budget, seed)[0]
+            for root, _ in orbit.members]
     outcomes = [(rep, report, None)]
     for root, sigma in orbit.members:
         try:
@@ -184,11 +182,10 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
                 seed: int = 0, threads: int = 1) -> GraphBounds:
     """Bound the pebbling number of the whole graph: one report per root.
 
-    Roots are grouped into automorphism orbits, and each worker takes a
-    whole orbit: strategies are generated and the LP solved at its least
-    root only, then carried to the other roots, where every mapped strategy
-    is validated and the mapped optimum passes its certificate against that
-    root's own relaxation.  On a vertex-transitive graph one LP is solved
+    Roots are grouped into automorphism orbits.  For each orbit, strategies
+    are generated and the LP solved at its least root only, then carried to
+    the other roots, where every mapped strategy is validated and the mapped
+    optimum passes its certificate against that root's own relaxation.  On a vertex-transitive graph one LP is solved
     and every other root is certificate-checked.  Every root of an orbit
     thus reports the least root's strategy set, mapped; generators that
     break ties by vertex number or shuffle with the seed may give another,
@@ -196,15 +193,16 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
     generate_strategies(g, root, gen) does).
 
     The overall bound is the maximum over roots of the tightest per-root
-    bound; it is only reported when every root produced one.
+    bound; it is only reported when every root produced one.  All work runs
+    in the calling process: threads is accepted and ignored.
     """
     if method not in ("ratio", "lp"):
         raise ValueError(f"unknown bound method {method!r}")
-    bound_orbit = functools.partial(_bound_orbit, g, method, gen, maxlen, budget, seed)
-    outcomes = map_roots(bound_orbit, root_orbits(g), threads)
+    outcomes = [o for orbit in root_orbits(g)
+                for o in _bound_orbit(g, orbit, method, gen, maxlen, budget, seed)]
     per_root: dict[int, BoundReport] = {}
     failures: dict[int, str] = {}
-    for root, report, error in sorted(o for orbit in outcomes for o in orbit):
+    for root, report, error in sorted(outcomes):
         if report is None:
             failures[root] = error
         else:

@@ -21,7 +21,6 @@ from .solver import (
     DEFAULT_MAX_CONFIGS,
     ConfigFormatError,
     EnumerationCapError,
-    default_threads,
     format_config,
     is_solvable,
     max_unsolvable,
@@ -120,8 +119,7 @@ def _cmd_pi(args) -> int:
     if args.root is not None:
         result = pebbling_number(g, args.root, max_configs=args.max_configs)
     else:
-        result = pebbling_number_max(g, max_configs=args.max_configs,
-                                     threads=args.threads)
+        result = pebbling_number_max(g, max_configs=args.max_configs)
     elapsed_ms = (time.perf_counter() - start) * 1000
     payload = {
         "value": result.value,
@@ -189,7 +187,7 @@ def _cmd_bound(args) -> int:
         return 0
     graph_bounds = bounds.bound_graph(g, method=args.method, gen=args.gen,
                                       maxlen=args.maxlen, budget=args.budget,
-                                      seed=args.seed, threads=args.threads)
+                                      seed=args.seed)
     if args.json:
         print(json.dumps(graph_bounds.to_json_dict(g), indent=2))
     else:
@@ -290,17 +288,12 @@ def _add_max_configs_arg(sub) -> None:
                      help="cap on configurations per enumerated level")
 
 
-def _add_threads_arg(sub) -> None:
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker processes, each taking whole root orbits (default: all cores)")
-
-
 def _add_gen_args(sub, flag: str) -> None:
     """Strategy generation options; bound names the method --gen, strategies --method."""
     sub.add_argument(flag, default="greedy-search", choices=GENERATION_METHODS,
                      help="strategy generation method")
-    sub.add_argument("--maxlen", type=int, default=None, help="path length cap")
-    sub.add_argument("--budget", type=int, default=None, help="candidate budget")
+    sub.add_argument("--maxlen", type=_positive_int, default=None, help="path length cap")
+    sub.add_argument("--budget", type=_positive_int, default=None, help="candidate budget")
     sub.add_argument("--seed", type=int, default=0, help="shuffle seed")
 
 
@@ -336,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--root", type=int, default=None)
     _add_max_configs_arg(p)
-    _add_threads_arg(p)
     p.set_defaults(func=_cmd_pi)
 
     p = add_verb("max-unsolvable", "largest unsolvable pebble total")
@@ -358,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default=None, help="strategy set JSON file")
     p.add_argument("--method", default="lp", choices=("ratio", "lp"))
     _add_gen_args(p, "--gen")
-    _add_threads_arg(p)
     p.set_defaults(func=_cmd_bound)
 
     p = add_verb("lp", "solve the strategy-set linear relaxation")
@@ -383,8 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-            args.threads = default_threads()
         return args.func(args)
     except (GraphError, StrategyError, ConfigFormatError,
             EnumerationCapError, ValueError, OSError) as exc:

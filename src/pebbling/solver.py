@@ -11,10 +11,8 @@ fact that adding pebbles never breaks solvability.
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, distances_from, is_connected, root_orbits
 
@@ -40,10 +38,6 @@ class EnumerationCapError(RuntimeError):
             f"levels up to {last_verified} were verified"
         )
 
-    def __reduce__(self):
-        # rebuild from the fields, so the error crosses a process boundary intact
-        return type(self), (self.cap, self.level, self.count, self.last_verified)
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -57,31 +51,6 @@ class PebblingResult:
     value: int
     root: int
     critical_config: tuple[int, ...]
-
-
-def default_threads() -> int:
-    """Worker count from PEBBLING_THREADS, else the number of cores."""
-    env = os.environ.get("PEBBLING_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError as exc:
-        raise ValueError(f"PEBBLING_THREADS must be an integer, got {env!r}") from exc
-
-
-def map_roots(fn, jobs: Sequence, threads: int) -> list:
-    """[fn(job) for job in jobs], spread over up to `threads` worker processes.
-
-    The package's one process pool: each job is one root orbit (its least
-    root, for pebbling_number_max; the whole orbit, for bound_graph), so
-    workers never share a level scan or an LP.  Results come back in job
-    order, and the first job to raise, in that order, raises here.
-    """
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-        return list(pool.map(fn, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +298,8 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
 
     Scans totals upward from max(n, 2^ecc(root)); the first total whose every
     configuration is solvable is the answer.  Raises EnumerationCapError if a
-    level would enumerate more than max_configs configurations.  One root
-    always scans in this process: threads is accepted and ignored, and
-    pebbling_number_max spreads a graph's root orbits over processes.
+    level would enumerate more than max_configs configurations.  All work
+    runs in the calling process: threads is accepted and ignored.
     """
     geometry, caps = _level_space(g, root)
     ecc = max(geometry.dist)
@@ -381,11 +349,9 @@ def pebbling_number_max(g: Graph, *, max_configs: int = DEFAULT_MAX_CONFIGS,
     An automorphism carries a root's pebbling number and critical
     configurations to every root of its orbit, so only the least root of
     each orbit is scanned; on a vertex-transitive graph that is one scan.
-    The scans go to up to `threads` worker processes, one orbit each.  The
-    first maximum in root order is always the least root of its orbit, so
-    the result is the full sweep's, critical configuration included.
+    The first maximum in root order is always the least root of its orbit,
+    so the result is the full sweep's, critical configuration included.
+    All work runs in the calling process: threads is accepted and ignored.
     """
-    scan = functools.partial(pebbling_number, g, max_configs=max_configs)
-    reps = [orbit.rep for orbit in root_orbits(g)]
-    results = map_roots(scan, reps, threads)
+    results = [pebbling_number(g, orbit.rep, max_configs=max_configs) for orbit in root_orbits(g)]
     return max(results, key=lambda r: r.value)

@@ -356,10 +356,14 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
     assembles paths, spanning trees, and depth-capped branch subtrees, then
     keeps the subset minimizing total weight over minimum coverage.
 
-    Raises CoverageError if the produced set leaves a vertex unreached.
+    Raises StrategyError if maxlen or budget is below 1, and CoverageError
+    if the produced set leaves a vertex unreached.
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} outside 0..{g.n - 1}")
+    for name, value in (("maxlen", maxlen), ("budget", budget)):
+        if value is not None and value < 1:
+            raise StrategyError(f"{name} must be positive, got {value}")
     if g.n < 2:
         raise StrategyError("strategies need a graph with at least one edge")
     ecc = eccentricity(g, root)
@@ -511,9 +515,14 @@ def strategy_set_to_json(ss: StrategySet) -> dict:
     return {"root": ss.root, "strategies": payload}
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; Python reads true and false as ints too, so they are excluded."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_map(entry: dict, key: str) -> dict[int, int]:
     field = entry[key]
-    if not isinstance(field, dict) or not all(isinstance(x, int) for x in field.values()):
+    if not isinstance(field, dict) or not all(_is_int(x) for x in field.values()):
         raise StrategyError(f'"{key}" is not an object of integers')
     try:
         return {int(v): x for v, x in field.items()}
@@ -538,13 +547,17 @@ def strategy_set_from_json(data: dict, g: Graph) -> StrategySet:
     """Strategy set from its JSON form, every strategy validated against g.
 
     An entry without weights gets the strategy_from_tree weights.  Raises
-    StrategyError naming the first bad entry's index and its problem.
+    StrategyError naming a malformed "root" or "strategies" field, or the
+    first bad entry's index and its problem.
     """
     try:
-        root = int(data["root"])
-        entries = list(data["strategies"])
-    except (KeyError, TypeError, ValueError) as exc:
+        root, entries = data["root"], data["strategies"]
+    except (KeyError, TypeError) as exc:
         raise StrategyError(f"strategy JSON missing field: {exc}") from exc
+    if not _is_int(root):
+        raise StrategyError(f'"root" must be an integer, got {json.dumps(root)}')
+    if not isinstance(entries, list):
+        raise StrategyError('"strategies" must be a list of strategy objects')
     if not 0 <= root < g.n:
         raise StrategyError(f"root {root} outside 0..{g.n - 1}")
     strategies = []

@@ -26,7 +26,7 @@ from .lp import (
     make_linear_program,
     solve_max,
 )
-from .solver import default_threads, is_solvable, pebbling_number, pebbling_number_max
+from .solver import is_solvable, pebbling_number, pebbling_number_max
 from .strategy import (
     GENERATION_METHODS,
     generate_strategies,
@@ -188,7 +188,7 @@ def _check_cycles():
 
 def _check_cycle_7():
     want = 2 * (2 ** 4 // 3) + 1
-    got = pebbling_number_max(families.cycle(7), threads=default_threads()).value
+    got = pebbling_number_max(families.cycle(7)).value
     if got != want:
         return False, f"cycle(7): {got} != {want}"
     return True, f"cycle(7) gives {want}"
@@ -203,7 +203,7 @@ def _check_hypercubes():
 
 
 def _check_petersen_exact():
-    got = pebbling_number_max(families.petersen(), threads=default_threads()).value
+    got = pebbling_number_max(families.petersen()).value
     if got != 10:
         return False, f"petersen: {got} != 10"
     return True, "petersen gives 10"
@@ -238,8 +238,7 @@ def _check_bound_arithmetic():
 
 def _check_bruhat_bound():
     g = families.bruhat(4)
-    report = bounds.bound_graph(g, method="lp", gen="greedy-search",
-                                threads=default_threads())
+    report = bounds.bound_graph(g, method="lp", gen="greedy-search")
     if report.failures:
         return False, f"coverage failures at roots {sorted(report.failures)}"
     b = report.overall_bound

@@ -122,8 +122,7 @@ def test_solve_malformed_config(path4_file, capsys):
 # -- pi and max-unsolvable ------------------------------------------------------
 
 def test_pi_single_root(path4_file, capsys):
-    code, out, _ = run(capsys, "pi", "--graph", path4_file, "--root", "0",
-                       "--threads", "1", "--json")
+    code, out, _ = run(capsys, "pi", "--graph", path4_file, "--root", "0", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 8
@@ -132,14 +131,14 @@ def test_pi_single_root(path4_file, capsys):
 
 
 def test_pi_all_roots(path4_file, capsys):
-    code, out, _ = run(capsys, "pi", "--graph", path4_file, "--threads", "1")
+    code, out, _ = run(capsys, "pi", "--graph", path4_file)
     assert code == 0
     assert "pebbling number 8" in out
     assert "all roots" in out
 
 
 def test_pi_json_stable_between_runs(path4_file, capsys):
-    argv = ("pi", "--graph", path4_file, "--root", "3", "--threads", "1", "--json")
+    argv = ("pi", "--graph", path4_file, "--root", "3", "--json")
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     a, b = json.loads(first), json.loads(second)
@@ -156,10 +155,8 @@ def test_max_unsolvable(path4_file, capsys):
     assert payload["config"] == "3:7"
 
 
-def test_enumeration_cap_in_workers_is_a_clean_error(path4_file, capsys):
-    # two root orbits, so two workers take one each
-    code, _, err = run(capsys, "pi", "--graph", path4_file,
-                       "--max-configs", "5", "--threads", "2")
+def test_enumeration_cap_over_all_roots_is_a_clean_error(path4_file, capsys):
+    code, _, err = run(capsys, "pi", "--graph", path4_file, "--max-configs", "5")
     assert code == 1
     assert err.startswith("error: level ")
     assert err.rstrip().endswith("were verified")
@@ -225,8 +222,7 @@ def test_lp_and_bound_json_carry_a_dual_certificate(petersen_file, tmp_path, cap
                        "--strategies", str(ss_path), "--json")
     assert code == 0
     assert json.loads(out)["dual"] == payload["dual"]
-    code, out, _ = run(capsys, "bound", "--graph", petersen_file, "--threads", "1",
-                       "--json")
+    code, out, _ = run(capsys, "bound", "--graph", petersen_file, "--json")
     assert code == 0
     assert all(len(entry["dual"]) >= 1 for entry in json.loads(out)["per_root"])
 
@@ -289,8 +285,7 @@ def test_bound_generated_single_root(petersen_file, capsys):
 
 
 def test_bound_all_roots_json(path4_file, capsys):
-    code, out, _ = run(capsys, "bound", "--graph", path4_file, "--threads", "1",
-                       "--json")
+    code, out, _ = run(capsys, "bound", "--graph", path4_file, "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["graph"] == {"n": 4, "m": 3}
@@ -302,7 +297,7 @@ def test_bound_coverage_failure_exits_one(tmp_path, capsys):
     path3 = tmp_path / "path3.txt"
     run(capsys, "family", "--kind", "path", "--size", "3", "--out", str(path3))
     code, out, err = run(capsys, "bound", "--graph", str(path3),
-                         "--gen", "all-paths", "--maxlen", "1", "--threads", "1")
+                         "--gen", "all-paths", "--maxlen", "1")
     assert code == 1
     assert "overall bound: None" in out
     assert "root 0: failed" in err and "root 2: failed" in err
@@ -325,7 +320,8 @@ def test_bound_strategy_root_mismatch(petersen_file, tmp_path, capsys):
       "weight": {"1": 1, "2": 1, "3": 1, "4": 1}}, "does not double"),
     ({"weight": {"1": 1}}, '"parent"'),
     ([1, 0], "object"),
-], ids=["all-ones-weights", "no-parent", "not-an-object"])
+    ({"parent": {"1": False}}, "not an object of integers"),
+], ids=["all-ones-weights", "no-parent", "not-an-object", "bool-parent"])
 def test_invalid_strategy_file_is_an_error(verb, entry, problem, tmp_path, capsys):
     path5 = tmp_path / "path5.txt"
     run(capsys, "family", "--kind", "path", "--size", "5", "--out", str(path5))
@@ -336,6 +332,21 @@ def test_invalid_strategy_file_is_an_error(verb, entry, problem, tmp_path, capsy
     assert code == 1
     assert out == ""
     assert err.startswith("error: strategy 0: ") and problem in err
+
+
+@pytest.mark.parametrize("verb", ["bound", "lp"])
+@pytest.mark.parametrize("data,problem", [
+    ({"root": 0.9, "strategies": [{"parent": {"1": 0}}]}, '"root" must be an integer'),
+    ({"root": 0, "strategies": "ab"}, '"strategies" must be a list'),
+], ids=["float-root", "string-strategies"])
+def test_malformed_strategy_file_fields_are_an_error(verb, data, problem, path4_file,
+                                                     tmp_path, capsys):
+    ss_path = tmp_path / "strategies.json"
+    ss_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, verb, "--graph", path4_file, "--strategies", str(ss_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {problem}")
 
 
 def test_lp_bad_json_reports_line(petersen_file, tmp_path, capsys):
@@ -412,8 +423,7 @@ def test_verify_json(monkeypatch, capsys):
 # -- error and usage handling ----------------------------------------------------
 
 def test_missing_graph_file(capsys):
-    code, _, err = run(capsys, "pi", "--graph", "/nonexistent/g.txt",
-                       "--threads", "1")
+    code, _, err = run(capsys, "pi", "--graph", "/nonexistent/g.txt")
     assert code == 1
     assert err.startswith("error:")
 
@@ -440,16 +450,22 @@ def test_max_configs_must_be_positive(verb, cap, path4_file, capsys):
     assert f"--max-configs: must be positive, got {cap}" in capsys.readouterr().err
 
 
-def test_bad_thread_env_is_a_clean_error(path4_file, monkeypatch, capsys):
-    monkeypatch.setenv("PEBBLING_THREADS", "many")
-    code, _, err = run(capsys, "pi", "--graph", path4_file, "--root", "0")
-    assert code == 1
-    assert "PEBBLING_THREADS" in err
+@pytest.mark.parametrize("verb", ["pi", "bound"])
+def test_threads_flag_is_a_usage_error(verb, path4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--graph", path4_file, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
-def test_thread_env_sets_default(path4_file, monkeypatch, capsys):
-    monkeypatch.setenv("PEBBLING_THREADS", "1")
-    code, out, _ = run(capsys, "pi", "--graph", path4_file, "--root", "0",
-                       "--json")
-    assert code == 0
-    assert json.loads(out)["value"] == 8
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("option", [
+    ["--method", "bfs-trees", "--budget"],
+    ["--method", "greedy-search", "--budget"],
+    ["--method", "all-paths", "--maxlen"],
+], ids=["bfs-trees-budget", "greedy-search-budget", "all-paths-maxlen"])
+def test_generation_limits_must_be_positive(option, value, path4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["strategies", "--graph", path4_file, "--root", "0", *option, value])
+    assert exc.value.code == 2
+    assert f"{option[-1]}: must be positive, got {value}" in capsys.readouterr().err

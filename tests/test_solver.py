@@ -1,7 +1,6 @@
 """Exhaustive solver: solvability search, witnesses, and pebbling numbers."""
 
 import itertools
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,37 +184,14 @@ def test_enumeration_cap():
     assert err.value.count > 10
 
 
-def _cap_fields(exc):
-    return exc.cap, exc.level, exc.count, exc.last_verified, str(exc)
-
-
-def test_enumeration_cap_error_survives_pickling():
-    exc = EnumerationCapError(10, 11, 500, 10)
-    copy = pickle.loads(pickle.dumps(exc))
-    assert type(copy) is EnumerationCapError
-    assert _cap_fields(copy) == _cap_fields(exc)
-
-
-def test_enumeration_cap_is_the_same_in_worker_processes():
-    g = families.path(5)  # three root orbits, so two workers take one each
-    with pytest.raises(EnumerationCapError) as serial:
-        pebbling_number_max(g, max_configs=10, threads=1)
-    with pytest.raises(EnumerationCapError) as parallel:
-        pebbling_number_max(g, max_configs=10, threads=2)
-    assert _cap_fields(parallel.value) == _cap_fields(serial.value)
-
-
-def test_thread_count_does_not_change_results(binary7):
-    g = families.cycle(6)
-    serial = pebbling_number(g, 0, threads=1)
-    parallel = pebbling_number(g, 0, threads=3)
-    assert serial == parallel
-    g = families.petersen()
-    assert pebbling_number(g, 0, threads=1) == pebbling_number(g, 0, threads=2)
-    # all roots: roots 3..6 of the binary tree tie at 18, and the smallest wins
-    for g in (families.cycle(6), families.petersen(), binary7):
-        assert pebbling_number_max(g, threads=1) == pebbling_number_max(g, threads=2)
-    assert pebbling_number_max(binary7, threads=2) == pebbling_number(binary7, 3)
+def test_enumeration_cap_over_all_roots():
+    g = families.path(5)  # three root orbits; the first scanned hits the cap
+    with pytest.raises(EnumerationCapError) as err:
+        pebbling_number_max(g, max_configs=10)
+    exc = err.value
+    assert (exc.cap, exc.level, exc.count, exc.last_verified) == (10, 16, 63, 15)
+    assert str(exc) == ("level 16 needs 63 configurations, over the cap of 10; "
+                        "levels up to 15 were verified")
 
 
 def _all_roots_sweep(g):

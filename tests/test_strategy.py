@@ -266,6 +266,8 @@ def test_json_missing_fields_rejected():
     ({"parent": {"1": 0, "2": 1}, "weight": {"1": 2 ** 63, "2": 2 ** 62}}, "64-bit"),
     ({"weight": {"1": 1}}, '"parent"'),
     ([1, 0], "object"),
+    ({"parent": {"1": False}}, '"parent" is not an object of integers'),
+    ({"parent": {"1": 0}, "weight": {"1": True}}, '"weight" is not an object of integers'),
 ])
 def test_json_invalid_entry_named_by_index(entry, problem):
     data = {"root": 0, "strategies": [{"parent": {"1": 0}}, entry]}
@@ -273,10 +275,32 @@ def test_json_invalid_entry_named_by_index(entry, problem):
         strategy_set_from_json(data, families.path(5))
 
 
+@pytest.mark.parametrize("data,problem", [
+    ({"root": 0.9, "strategies": [{"parent": {"1": 0}}]}, '"root" must be an integer, got 0.9'),
+    ({"root": "0", "strategies": [{"parent": {"1": 0}}]}, '"root" must be an integer, got "0"'),
+    ({"root": True, "strategies": [{"parent": {"1": 0}}]}, '"root" must be an integer, got true'),
+    ({"root": 0, "strategies": "ab"}, '"strategies" must be a list'),
+], ids=["float-root", "string-root", "bool-root", "string-strategies"])
+def test_json_field_types_checked(data, problem):
+    with pytest.raises(StrategyError) as err:
+        strategy_set_from_json(data, families.path(5))
+    assert str(err.value).startswith(problem)
+
+
 def test_json_root_outside_graph_rejected():
     with pytest.raises(StrategyError, match="outside"):
         strategy_set_from_json({"root": 9, "strategies": [{"parent": {"1": 0}}]},
                                families.path(5))
+
+
+@pytest.mark.parametrize("method,option", [
+    ("all-paths", "maxlen"), ("bfs-trees", "budget"),
+    ("greedy-search", "maxlen"), ("greedy-search", "budget"),
+])
+@pytest.mark.parametrize("value", [0, -1])
+def test_generation_limits_must_be_positive(method, option, value):
+    with pytest.raises(StrategyError, match=f"^{option} must be positive, got {value}$"):
+        generate_strategies(families.path(4), 0, method, **{option: value})
 
 
 @pytest.mark.parametrize("g,sizes,digest", [
