@@ -13,10 +13,11 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .graph import Graph, Orbit, root_orbits
+from .graph import Graph, GraphError, is_connected, root_orbits
 from .lp import (LinearProgram, LpSolution, build_relaxation, check_certificate,
                  fraction_text, solve_max)
-from .strategy import (Strategy, StrategyError, StrategySet, coverage, generate_strategies,
+from .strategy import (CoverageError, Strategy, StrategyError, StrategySet,
+                       check_generation_options, coverage, generate_strategies,
                        unit_weight, validate_strategy)
 
 
@@ -60,16 +61,14 @@ class GraphBounds:
         }
 
 
-def min_coverage(g: Graph, root: int, ss: StrategySet) -> int:
-    """Least summed strategy weight over the non-root vertices.
+def min_coverage(g: Graph, ss: StrategySet) -> int:
+    """Least summed strategy weight over the vertices other than ss.root.
 
     Every vertex must be reached by some strategy; otherwise the aggregation
     says nothing about configurations concentrated on the uncovered vertex.
     """
-    if ss.root != root:
-        raise ValueError(f"strategy set rooted at {ss.root} does not match root {root}")
-    cover = coverage(g.n, root, ss.strategies)
-    return min(cover[v] for v in range(g.n) if v != root)
+    cover = coverage(g.n, ss.root, ss.strategies)
+    return min(cover[v] for v in range(g.n) if v != ss.root)
 
 
 def total_unit_weight(ss: StrategySet) -> int:
@@ -83,18 +82,14 @@ def aggregate_bound(coverage: int, total: int) -> int:
     return total // coverage + 1
 
 
-def ratio_report(g: Graph, root: int, ss: StrategySet) -> BoundReport:
-    """One root's report without LP fields: coverage, total weight, ratio bound."""
-    kappa = min_coverage(g, root, ss)
+def ratio_report(g: Graph, ss: StrategySet) -> BoundReport:
+    """The report at ss.root without LP fields: coverage, total weight, ratio bound."""
+    kappa = min_coverage(g, ss)
     chi = total_unit_weight(ss)
-    return BoundReport(root, kappa, chi, aggregate_bound(kappa, chi), len(ss.strategies))
+    return BoundReport(ss.root, kappa, chi, aggregate_bound(kappa, chi), len(ss.strategies))
 
 
-def ratio_bound(g: Graph, root: int, ss: StrategySet) -> int:
-    return ratio_report(g, root, ss).ratio_bound
-
-
-def lp_bound(g: Graph, root: int, ss: StrategySet) -> BoundReport:
+def lp_bound(g: Graph, ss: StrategySet) -> BoundReport:
     """The ratio report extended with the exact LP optimum, floored + 1.
 
     The optimum's dual certificate is checked before it is reported, and a
@@ -102,13 +97,13 @@ def lp_bound(g: Graph, root: int, ss: StrategySet) -> BoundReport:
     positive entry, so the relaxation is never unbounded; the check would
     reject an unbounded result too.
     """
-    return _solved_lp_report(g, root, ss)[0]
+    return _solved_lp_report(g, ss)[0]
 
 
-def _solved_lp_report(g: Graph, root: int, ss: StrategySet) -> tuple[BoundReport, LpSolution]:
+def _solved_lp_report(g: Graph, ss: StrategySet) -> tuple[BoundReport, LpSolution]:
     """lp_bound's report together with the optimum it certifies."""
-    report = ratio_report(g, root, ss)
-    lp = build_relaxation(g, root, ss)
+    report = ratio_report(g, ss)
+    lp = build_relaxation(g, ss)
     solution = solve_max(lp)
     return _with_checked_lp(report, lp, solution), solution
 
@@ -125,9 +120,10 @@ def _mapped_strategies(g: Graph, ss: StrategySet, sigma) -> StrategySet:
     for i, s in enumerate(ss.strategies):
         image = Strategy(sigma[s.root], {sigma[v]: sigma[p] for v, p in s.parent.items()},
                          {sigma[v]: w for v, w in s.weight.items()})
-        ok, problem = validate_strategy(g, image)
-        if not ok:
-            raise StrategyError(f"strategy {i} mapped from root {ss.root}: {problem}")
+        try:
+            validate_strategy(g, image)
+        except StrategyError as exc:
+            raise StrategyError(f"strategy {i} mapped from root {ss.root}: {exc}") from exc
         mapped.append(image)
     return StrategySet(sigma[ss.root], tuple(mapped))
 
@@ -143,38 +139,11 @@ def _mapped_solution(n: int, rep: int, root: int, solution: LpSolution, sigma) -
     return replace(solution, point=tuple(at[u] for u in range(n) if u != root))
 
 
-def _bound_orbit(g: Graph, orbit: Orbit, method, gen, maxlen, budget, seed):
-    """Outcomes for every root of an orbit from one generation and one LP.
-
-    The representative's strategies are mapped to each member root and
-    validated there, and its optimum is re-checked against the member's
-    own relaxation, so no bound is copied unchecked.  If the representative
-    fails, every member is bounded on its own, so each failure names that
-    root's vertices.
-    """
-    rep = orbit.rep
-    try:
-        ss = generate_strategies(g, rep, gen, maxlen=maxlen, budget=budget, seed=seed)
-        if method == "lp":
-            report, solution = _solved_lp_report(g, rep, ss)
-        else:
-            report, solution = ratio_report(g, rep, ss), None
-    except ValueError as exc:
-        return [(rep, None, str(exc))] + [
-            _bound_orbit(g, Orbit(root, ()), method, gen, maxlen, budget, seed)[0]
-            for root, _ in orbit.members]
-    outcomes = [(rep, report, None)]
-    for root, sigma in orbit.members:
-        try:
-            mapped = _mapped_strategies(g, ss, sigma)
-            report = ratio_report(g, root, mapped)
-            if solution is not None:
-                report = _with_checked_lp(report, build_relaxation(g, root, mapped),
-                                          _mapped_solution(g.n, rep, root, solution, sigma))
-            outcomes.append((root, report, None))
-        except ValueError as exc:
-            outcomes.append((root, None, str(exc)))
-    return outcomes
+def _mapped_error(exc: ValueError, sigma) -> str:
+    """The representative's failure as it reads at the member root: uncovered vertices mapped."""
+    if isinstance(exc, CoverageError):
+        return str(CoverageError(sorted(sigma[v] for v in exc.vertices)))
+    return str(exc)
 
 
 def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
@@ -185,30 +154,54 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
     Roots are grouped into automorphism orbits.  For each orbit, strategies
     are generated and the LP solved at its least root only, then carried to
     the other roots, where every mapped strategy is validated and the mapped
-    optimum passes its certificate against that root's own relaxation.  On a vertex-transitive graph one LP is solved
-    and every other root is certificate-checked.  Every root of an orbit
-    thus reports the least root's strategy set, mapped; generators that
-    break ties by vertex number or shuffle with the seed may give another,
-    equally sound, bound when run at that root itself (as lp_bound on
-    generate_strategies(g, root, gen) does).
+    optimum passes its certificate against that root's own relaxation.  On
+    a vertex-transitive graph one LP is solved and every other root is
+    certificate-checked.  Every root of an orbit thus reports the least
+    root's strategy set, mapped; generators that break ties by vertex number
+    or shuffle with the seed may give another, equally sound, bound when run
+    at that root itself (as lp_bound on generate_strategies(g, root, gen)
+    does).  If the least root fails, its whole orbit fails with the same
+    error, a CoverageError's vertices mapped to each member root.
 
     The overall bound is the maximum over roots of the tightest per-root
-    bound; it is only reported when every root produced one.  All work runs
-    in the calling process: threads is accepted and ignored.
+    bound; it is only reported when every root produced one.  Raises
+    ValueError for an unknown method, StrategyError for generation options
+    that check_generation_options rejects, and GraphError for a disconnected
+    graph, each once before any root is bounded.  All work runs in the
+    calling process: threads is accepted and ignored.
     """
     if method not in ("ratio", "lp"):
         raise ValueError(f"unknown bound method {method!r}")
-    outcomes = [o for orbit in root_orbits(g)
-                for o in _bound_orbit(g, orbit, method, gen, maxlen, budget, seed)]
+    check_generation_options(gen, maxlen, budget)
+    if not is_connected(g):
+        raise GraphError("pebbling numbers need a connected graph")
     per_root: dict[int, BoundReport] = {}
     failures: dict[int, str] = {}
-    for root, report, error in sorted(outcomes):
-        if report is None:
-            failures[root] = error
-        else:
-            per_root[root] = report
+    for orbit in root_orbits(g):
+        rep = orbit.rep
+        try:
+            ss = generate_strategies(g, rep, gen, maxlen=maxlen, budget=budget, seed=seed)
+            if method == "lp":
+                report, solution = _solved_lp_report(g, ss)
+            else:
+                report, solution = ratio_report(g, ss), None
+        except ValueError as exc:
+            failures[rep] = str(exc)
+            failures.update((root, _mapped_error(exc, sigma)) for root, sigma in orbit.members)
+            continue
+        per_root[rep] = report
+        for root, sigma in orbit.members:
+            try:
+                mapped = _mapped_strategies(g, ss, sigma)
+                report = ratio_report(g, mapped)
+                if solution is not None:
+                    report = _with_checked_lp(report, build_relaxation(g, mapped),
+                                              _mapped_solution(g.n, rep, root, solution, sigma))
+                per_root[root] = report
+            except ValueError as exc:
+                failures[root] = str(exc)
     overall = None
     if not failures and per_root:
         overall = max(r.lp_bound if r.lp_bound is not None else r.ratio_bound
                       for r in per_root.values())
-    return GraphBounds(per_root, failures, overall)
+    return GraphBounds(dict(sorted(per_root.items())), dict(sorted(failures.items())), overall)

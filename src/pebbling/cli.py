@@ -148,7 +148,7 @@ def _cmd_strategies(args) -> int:
     g = _load_graph(args.graph)
     ss = generate_strategies(g, args.root, args.method, maxlen=args.maxlen,
                              budget=args.budget, seed=args.seed)
-    report = bounds.ratio_report(g, args.root, ss)
+    report = bounds.ratio_report(g, ss)
     if args.out:
         save_strategy_set(ss, args.out)
     payload = strategy_set_to_json(ss)
@@ -181,8 +181,8 @@ def _cmd_bound(args) -> int:
         else:
             ss = generate_strategies(g, args.root, args.gen, maxlen=args.maxlen,
                                      budget=args.budget, seed=args.seed)
-        report = bounds.lp_bound(g, ss.root, ss) if args.method == "lp" \
-            else bounds.ratio_report(g, ss.root, ss)
+        report = bounds.lp_bound(g, ss) if args.method == "lp" \
+            else bounds.ratio_report(g, ss)
         _emit(args, report.to_json_dict(), _report_text(report))
         return 0
     graph_bounds = bounds.bound_graph(g, method=args.method, gen=args.gen,
@@ -206,7 +206,7 @@ def _print_pivot(count, entering, leaving, value) -> None:
 def _cmd_lp(args) -> int:
     g = _load_graph(args.graph)
     ss = _load_strategies(args, g)
-    lp = build_relaxation(g, ss.root, ss)
+    lp = build_relaxation(g, ss)
     solution = solve_max(lp, on_pivot=_print_pivot if args.verbose else None)
     if solution.status != "optimal":
         _emit(args, {"status": solution.status, "pivots": solution.pivot_count},

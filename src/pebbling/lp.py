@@ -180,18 +180,16 @@ def check_certificate(lp: LinearProgram, solution: LpSolution) -> None:
         raise CertificateError(f"dual objective is not the value {z}")
 
 
-def build_relaxation(g: Graph, root: int, ss: StrategySet) -> LinearProgram:
-    """LP whose optimum bounds every unsolvable configuration's size.
+def build_relaxation(g: Graph, ss: StrategySet) -> LinearProgram:
+    """LP whose optimum bounds every unsolvable configuration's size at ss.root.
 
     One variable per non-root vertex in ascending order, objective all ones,
     and one constraint per strategy: the weighted count of a configuration
     may not exceed the strategy's unit weight.
     """
-    if ss.root != root:
-        raise GraphError(f"strategy set rooted at {ss.root} does not match root {root}")
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} outside 0..{g.n - 1}")
-    variables = [v for v in range(g.n) if v != root]
+    if not 0 <= ss.root < g.n:
+        raise GraphError(f"root {ss.root} outside 0..{g.n - 1}")
+    variables = [v for v in range(g.n) if v != ss.root]
     position = {v: i for i, v in enumerate(variables)}
     objective = [1] * len(variables)
     constraints = []

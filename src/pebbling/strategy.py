@@ -56,11 +56,6 @@ class StrategySet:
                 raise StrategyError(f"strategy rooted at {s.root} in a set rooted at {self.root}")
 
 
-class Validation(NamedTuple):
-    ok: bool
-    problem: str | None
-
-
 def _depths(root: int, parent: dict[int, int]) -> dict[int, int]:
     """Depth of every strategy vertex; raises if the parent map is not a tree."""
     depth = {root: 0}
@@ -109,44 +104,33 @@ def strategy_from_path(g: Graph, vertices) -> Strategy:
         raise StrategyError("a path strategy needs at least one edge")
     if len(set(vertices)) != len(vertices):
         raise StrategyError("path vertices must be distinct")
-    if len(vertices) - 1 > MAX_DEPTH:
-        raise StrategyError(f"path length {len(vertices) - 1} over the limit of {MAX_DEPTH}")
-    parent = {}
-    for prev, v in zip(vertices, vertices[1:]):
-        if not g.has_edge(prev, v):
-            raise StrategyError(f"({prev}, {v}) is not an edge of the graph")
-        parent[v] = prev
-    return strategy_from_tree(g, vertices[0], parent)
+    return strategy_from_tree(g, vertices[0], dict(zip(vertices[1:], vertices)))
 
 
-def validate_strategy(g: Graph, s: Strategy) -> Validation:
-    """Check the strategy invariants; the first violation is named."""
+def validate_strategy(g: Graph, s: Strategy) -> None:
+    """Check the strategy invariants; raises StrategyError naming the first violation."""
     if not 0 <= s.root < g.n:
-        return Validation(False, f"root {s.root} outside 0..{g.n - 1}")
+        raise StrategyError(f"root {s.root} outside 0..{g.n - 1}")
     if not s.parent:
-        return Validation(False, "strategy has no edges")
+        raise StrategyError("strategy has no edges")
     if s.root in s.parent:
-        return Validation(False, f"root {s.root} has a parent")
+        raise StrategyError(f"root {s.root} has a parent")
     for v, p in sorted(s.parent.items()):
         if not 0 <= v < g.n:
-            return Validation(False, f"vertex {v} outside 0..{g.n - 1}")
+            raise StrategyError(f"vertex {v} outside 0..{g.n - 1}")
         if not g.has_edge(v, p):
-            return Validation(False, f"({v}, {p}) is not an edge of the graph")
-    try:
-        _depths(s.root, s.parent)
-    except StrategyError as exc:
-        return Validation(False, str(exc))
+            raise StrategyError(f"({v}, {p}) is not an edge of the graph")
+    _depths(s.root, s.parent)
     if set(s.weight) != set(s.parent):
-        return Validation(False, "weight map does not cover exactly the non-root vertices")
+        raise StrategyError("weight map does not cover exactly the non-root vertices")
     for v, w in sorted(s.weight.items()):
         if w <= 0:
-            return Validation(False, f"vertex {v} has nonpositive weight {w}")
+            raise StrategyError(f"vertex {v} has nonpositive weight {w}")
     if sum(s.weight.values()) > _WEIGHT_LIMIT:
-        return Validation(False, "unit weight over the 64-bit limit")
+        raise StrategyError("unit weight over the 64-bit limit")
     for v, p in sorted(s.parent.items()):
         if p != s.root and s.weight[p] != 2 * s.weight[v]:
-            return Validation(False, f"weight does not double from {v} to its parent {p}")
-    return Validation(True, None)
+            raise StrategyError(f"weight does not double from {v} to its parent {p}")
 
 
 def config_weight(s: Strategy, config) -> int:
@@ -345,6 +329,16 @@ def _greedy_descent(n: int, root: int, pool: list[Strategy], start: list[int]):
     return current, (total, low)
 
 
+def check_generation_options(method: str, maxlen: int | None, budget: int | None) -> None:
+    """Raise StrategyError for an unknown method or a maxlen or budget below 1."""
+    if method not in GENERATION_METHODS:
+        raise StrategyError(f"unknown generation method {method!r}; "
+                            f"expected one of {', '.join(GENERATION_METHODS)}")
+    for name, value in (("maxlen", maxlen), ("budget", budget)):
+        if value is not None and value < 1:
+            raise StrategyError(f"{name} must be positive, got {value}")
+
+
 def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
                         maxlen: int | None = None, budget: int | None = None,
                         seed: int = 0) -> StrategySet:
@@ -356,14 +350,12 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
     assembles paths, spanning trees, and depth-capped branch subtrees, then
     keeps the subset minimizing total weight over minimum coverage.
 
-    Raises StrategyError if maxlen or budget is below 1, and CoverageError
-    if the produced set leaves a vertex unreached.
+    Raises StrategyError for options check_generation_options rejects, and
+    CoverageError if the produced set leaves a vertex unreached.
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} outside 0..{g.n - 1}")
-    for name, value in (("maxlen", maxlen), ("budget", budget)):
-        if value is not None and value < 1:
-            raise StrategyError(f"{name} must be positive, got {value}")
+    check_generation_options(method, maxlen, budget)
     if g.n < 2:
         raise StrategyError("strategies need a graph with at least one edge")
     ecc = eccentricity(g, root)
@@ -385,11 +377,8 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
                 seen_trees.add(frozen)
                 strategies.append(strategy_from_tree(g, root, parent))
             rng.shuffle(base)
-    elif method == "greedy-search":
-        strategies = _greedy_search(g, root, ecc, maxlen, budget)
     else:
-        raise StrategyError(f"unknown generation method {method!r}; "
-                            f"expected one of {', '.join(GENERATION_METHODS)}")
+        strategies = _greedy_search(g, root, ecc, maxlen, budget)
 
     coverage(g.n, root, strategies)
     return StrategySet(root, tuple(strategies))
@@ -486,9 +475,7 @@ def max_unsolvable_weight_check(g: Graph, root: int, s: Strategy,
     vertex v: they are solvable outright.  Raises GraphError on a
     disconnected graph.
     """
-    check = validate_strategy(g, s)
-    if not check.ok:
-        raise StrategyError(check.problem)
+    validate_strategy(g, s)
     if s.root != root:
         raise StrategyError(f"strategy rooted at {s.root}, not {root}")
     _, caps = _level_space(g, root)
@@ -537,9 +524,7 @@ def _strategy_from_entry(g: Graph, root: int, entry) -> Strategy:
     if "weight" not in entry:
         return strategy_from_tree(g, root, parent)
     s = Strategy(root, parent, _int_map(entry, "weight"))
-    check = validate_strategy(g, s)
-    if not check.ok:
-        raise StrategyError(check.problem)
+    validate_strategy(g, s)
     return s
 
 

@@ -212,7 +212,7 @@ def _check_petersen_exact():
 def _check_petersen_bound():
     g = families.petersen()
     for root in range(g.n):
-        report = bounds.ratio_report(g, root, generate_strategies(g, root, "greedy-search"))
+        report = bounds.ratio_report(g, generate_strategies(g, root, "greedy-search"))
         kappa, chi = report.min_coverage, report.total_unit_weight
         if chi > 9 * kappa:
             return False, f"root {root}: chi/kappa = {chi}/{kappa} > 9"
@@ -225,7 +225,7 @@ def _check_bound_arithmetic():
     data = resources.files("pebbling").joinpath("data/petersen_strategies.json")
     g = families.petersen()
     ss = strategy_set_from_json(json.loads(data.read_text()), g)
-    kappa = bounds.min_coverage(g, ss.root, ss)
+    kappa = bounds.min_coverage(g, ss)
     chi = bounds.total_unit_weight(ss)
     if (kappa, chi) != (4, 36):
         return False, f"stored set gives kappa={kappa} chi={chi}, want 4/36"
@@ -256,7 +256,7 @@ def _check_soundness_sweep():
             pi = _pi(name, g, root)
             for method in GENERATION_METHODS:
                 ss = generate_strategies(g, root, method)
-                report = bounds.lp_bound(g, root, ss)
+                report = bounds.lp_bound(g, ss)
                 if not pi <= report.lp_bound <= report.ratio_bound:
                     return False, (f"{name} root {root} {method}: pi {pi}, "
                                    f"lp {report.lp_bound}, ratio {report.ratio_bound}")
@@ -334,7 +334,7 @@ def _check_simplex_oracle():
             return False, f"suite LP {i}: {exc}"
     pete = families.petersen()
     ss = generate_strategies(pete, 0, "greedy-search")
-    lp = build_relaxation(pete, 0, ss)
+    lp = build_relaxation(pete, ss)
     solution = solve_max(lp)
     if solution.value != 9:
         return False, f"petersen relaxation optimum {solution.value} != 9"

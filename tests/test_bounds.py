@@ -10,14 +10,14 @@ import pytest
 from conftest import small_catalog
 from pebbling import families, graph
 from pebbling.bounds import (BoundReport, aggregate_bound, bound_graph,
-                             lp_bound, min_coverage, ratio_bound,
+                             lp_bound, min_coverage, ratio_report,
                              total_unit_weight)
 from pebbling import bounds
-from pebbling.graph import Orbit, root_orbits
+from pebbling.graph import GraphError, Orbit, new_graph, root_orbits
 from pebbling.lp import CertificateError, build_relaxation, check_certificate, solve_max
 from pebbling.solver import pebbling_number, pebbling_number_max
-from pebbling.strategy import (GENERATION_METHODS, CoverageError, StrategySet,
-                               generate_strategies, strategy_from_path,
+from pebbling.strategy import (GENERATION_METHODS, CoverageError, StrategyError,
+                               StrategySet, generate_strategies, strategy_from_path,
                                strategy_set_from_json)
 
 
@@ -51,13 +51,13 @@ def test_stored_petersen_set_numbers(petersen):
     ss = stored_petersen_set()
     assert ss.root == 0
     assert len(ss.strategies) == 3
-    assert min_coverage(petersen, 0, ss) == 4
+    assert min_coverage(petersen, ss) == 4
     assert total_unit_weight(ss) == 36
-    assert ratio_bound(petersen, 0, ss) == 10
+    assert ratio_report(petersen, ss).ratio_bound == 10
 
 
 def test_stored_petersen_set_lp_report(petersen):
-    report = lp_bound(petersen, 0, stored_petersen_set())
+    report = lp_bound(petersen, stored_petersen_set())
     assert report.ratio_bound == 10
     assert report.lp_bound is not None
     # the pebbling number is 10, so the relaxation cannot dip below it
@@ -66,8 +66,8 @@ def test_stored_petersen_set_lp_report(petersen):
 
 def test_lp_report_carries_a_checked_dual(petersen):
     ss = stored_petersen_set()
-    report = lp_bound(petersen, 0, ss)
-    lp = build_relaxation(petersen, 0, ss)
+    report = lp_bound(petersen, ss)
+    lp = build_relaxation(petersen, ss)
     assert len(report.lp_dual) == len(ss.strategies)
     solution = solve_max(lp)
     assert report.lp_dual == solution.dual
@@ -84,7 +84,7 @@ def test_lp_bound_rejects_an_uncertified_optimum(petersen, monkeypatch):
 
     monkeypatch.setattr(bounds, "solve_max", overstated)
     with pytest.raises(CertificateError):
-        lp_bound(petersen, 0, stored_petersen_set())
+        lp_bound(petersen, stored_petersen_set())
 
 
 # -- a single path strategy is tight on paths --------------------------------
@@ -93,8 +93,8 @@ def test_lp_bound_rejects_an_uncertified_optimum(petersen, monkeypatch):
 def test_full_path_strategy_matches_path_pebbling_number(n):
     g = families.path(n)
     ss = StrategySet(0, (strategy_from_path(g, range(n)),))
-    assert ratio_bound(g, 0, ss) == 2 ** (n - 1)
-    report = lp_bound(g, 0, ss)
+    assert ratio_report(g, ss).ratio_bound == 2 ** (n - 1)
+    report = lp_bound(g, ss)
     assert report.lp_value == Fraction(2 ** (n - 1) - 1)
     assert report.lp_bound == 2 ** (n - 1)
 
@@ -108,7 +108,7 @@ def test_lp_between_truth_and_ratio(name, g, pi):
     for root in range(g.n):
         rooted = pebbling_number(g, root).value
         ss = generate_strategies(g, root, "greedy-search")
-        report = lp_bound(g, root, ss)
+        report = lp_bound(g, ss)
         assert rooted <= report.lp_bound <= report.ratio_bound, (
             f"{name} root {root}: rooted pi={rooted} lp={report.lp_bound} "
             f"ratio={report.ratio_bound}")
@@ -123,16 +123,9 @@ def test_coverage_error_names_missing_vertices():
     g = families.path(3)
     ss = StrategySet(0, (strategy_from_path(g, [0, 1]),))
     with pytest.raises(CoverageError) as err:
-        min_coverage(g, 0, ss)
+        min_coverage(g, ss)
     assert err.value.vertices == (2,)
     assert "2" in str(err.value)
-
-
-def test_min_coverage_checks_root():
-    g = families.path(3)
-    ss = StrategySet(1, (strategy_from_path(g, [1, 2]),))
-    with pytest.raises(ValueError, match="does not match"):
-        min_coverage(g, 0, ss)
 
 
 def test_bound_graph_collects_per_root_failures():
@@ -140,7 +133,7 @@ def test_bound_graph_collects_per_root_failures():
     # cannot cover the far side
     g = families.path(3)
     result = bound_graph(g, method="ratio", gen="all-paths", maxlen=1)
-    # roots 0 and 2 are one orbit: each failure names its own root's vertices
+    # roots 0 and 2 are one orbit: root 2 reports root 0's failure, mapped
     assert result.failures == {0: "no strategy covers vertices [2]",
                                2: "no strategy covers vertices [0]"}
     assert sorted(result.per_root) == [1]
@@ -194,8 +187,8 @@ def test_added_strategies_never_raise_the_lp_value():
     g = families.cycle(5)
     forward = strategy_from_path(g, [0, 1, 2, 3, 4])
     backward = strategy_from_path(g, [0, 4, 3, 2, 1])
-    one = solve_max(build_relaxation(g, 0, StrategySet(0, (forward,))))
-    two = solve_max(build_relaxation(g, 0, StrategySet(0, (forward, backward))))
+    one = solve_max(build_relaxation(g, StrategySet(0, (forward,))))
+    two = solve_max(build_relaxation(g, StrategySet(0, (forward, backward))))
     assert one.status == two.status == "optimal"
     assert two.value <= one.value
 
@@ -203,8 +196,8 @@ def test_added_strategies_never_raise_the_lp_value():
 def test_reports_ignore_strategy_order(petersen):
     ss = stored_petersen_set()
     flipped = StrategySet(ss.root, tuple(reversed(ss.strategies)))
-    a = lp_bound(petersen, 0, ss)
-    b = lp_bound(petersen, 0, flipped)
+    a = lp_bound(petersen, ss)
+    b = lp_bound(petersen, flipped)
     assert (a.min_coverage, a.total_unit_weight) == (b.min_coverage, b.total_unit_weight)
     assert a.lp_value == b.lp_value
 
@@ -244,7 +237,7 @@ def test_orbit_bounds_equal_a_full_sweep(name, g, gen):
     result = bound_graph(g, method="lp", gen=gen)
     assert not result.failures
     for root in range(g.n):
-        alone = lp_bound(g, root, generate_strategies(g, root, gen))
+        alone = lp_bound(g, generate_strategies(g, root, gen))
         got = result.per_root[root]
         assert (got.ratio_bound, got.lp_bound, got.lp_value) \
             == (alone.ratio_bound, alone.lp_bound, alone.lp_value), f"{name} root {root}"
@@ -271,7 +264,7 @@ def test_vertex_transitive_graph_solves_one_lp_and_checks_every_root(petersen, m
     assert sorted(result.per_root) == list(range(10))
     assert (len(generated), len(solved)) == (1, 1)
     # every root's relaxation is built from its own strategy set and checked
-    assert sorted(args[1] for args in built) == list(range(10))
+    assert sorted(args[1].root for args in built) == list(range(10))
     assert len(checked) == 10
 
 
@@ -302,7 +295,7 @@ def test_a_mapped_optimum_must_pass_its_own_certificate(monkeypatch):
     assert result.overall_bound is None
 
 
-def test_a_failing_representative_bounds_members_on_their_own():
+def test_a_failing_representative_fails_its_orbit_with_mapped_vertices():
     # paths of length 2 reach two steps from the root: only the middle covers
     result = bound_graph(families.path(5), method="lp", gen="all-paths", maxlen=2)
     assert result.failures == {0: "no strategy covers vertices [3, 4]",
@@ -310,6 +303,44 @@ def test_a_failing_representative_bounds_members_on_their_own():
                                3: "no strategy covers vertices [0]",
                                4: "no strategy covers vertices [0, 1]"}
     assert sorted(result.per_root) == [2]
+
+
+def test_a_failing_orbit_generates_once(monkeypatch):
+    generated = _counting(monkeypatch, bounds, "generate_strategies")
+    # length-1 paths reach only the neighbors of the root
+    result = bound_graph(families.bruhat(4), method="lp", gen="all-paths", maxlen=1)
+    assert len(generated) == 1
+    assert len(result.failures) == 24 and not result.per_root
+    assert result.overall_bound is None
+
+
+def test_a_failing_representative_error_is_copied_to_its_members(monkeypatch):
+    def uncertified(lp, on_pivot=None):
+        return replace(solve_max(lp, on_pivot), dual=None)
+
+    monkeypatch.setattr(bounds, "solve_max", uncertified)
+    result = bound_graph(families.cycle(5), method="lp")
+    # one orbit: every root reports the least root's message verbatim
+    assert sorted(result.failures) == list(range(5))
+    assert len(set(result.failures.values())) == 1
+    assert result.failures[4].startswith("dual has 0 entries")
+
+
+@pytest.mark.parametrize("options,problem", [
+    ({"budget": 0}, "budget must be positive, got 0"),
+    ({"maxlen": -1}, "maxlen must be positive, got -1"),
+    ({"gen": "magic"}, "unknown generation method 'magic'"),
+])
+def test_bad_generation_options_raise_once(options, problem, monkeypatch):
+    generated = _counting(monkeypatch, bounds, "generate_strategies")
+    with pytest.raises(StrategyError, match=problem):
+        bound_graph(families.path(4), **options)
+    assert generated == []
+
+
+def test_bound_graph_rejects_a_disconnected_graph():
+    with pytest.raises(GraphError, match="^pebbling numbers need a connected graph$"):
+        bound_graph(new_graph(4, [(0, 1), (2, 3)]))
 
 
 def test_orbit_search_past_its_step_limit_changes_nothing(petersen, monkeypatch):

@@ -208,7 +208,7 @@ def test_lp_and_bound_json_carry_a_dual_certificate(petersen_file, tmp_path, cap
     run(capsys, "strategies", "--graph", petersen_file, "--root", "0",
         "--out", str(ss_path))
     g = read_edge_list(petersen_file)
-    lp = build_relaxation(g, 0, load_strategy_set(str(ss_path), g))
+    lp = build_relaxation(g, load_strategy_set(str(ss_path), g))
     code, out, _ = run(capsys, "lp", "--graph", petersen_file,
                        "--strategies", str(ss_path), "--json")
     assert code == 0
@@ -264,6 +264,25 @@ def test_graph_without_vertices_is_an_error(verb, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: line 1: the graph has no vertices\n"
+
+
+@pytest.mark.parametrize("verb", ["pi", "bound"])
+def test_disconnected_graph_is_one_error(verb, tmp_path, capsys):
+    halves = tmp_path / "halves.txt"
+    halves.write_text("4 2\n0 1\n2 3\n")
+    code, out, err = run(capsys, verb, "--graph", str(halves))
+    assert (code, out) == (1, "")
+    assert err == "error: pebbling numbers need a connected graph\n"
+
+
+@pytest.mark.parametrize("option", [["--budget", "0"], ["--maxlen", "-1"], ["--gen", "magic"]],
+                         ids=["budget", "maxlen", "gen"])
+def test_bound_rejects_bad_generation_options_before_any_root(option, path4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--graph", path4_file, *option])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and "failed" not in err
 
 
 def test_strategies_json_deterministic(petersen_file, capsys):

@@ -157,7 +157,7 @@ def test_tampered_value_or_point_rejected():
 
 def test_every_changed_dual_entry_rejected_on_petersen():
     g = families.petersen()
-    lp = build_relaxation(g, 0, generate_strategies(g, 0, "greedy-search"))
+    lp = build_relaxation(g, generate_strategies(g, 0, "greedy-search"))
     solution = solve_max(lp)
     check_certificate(lp, solution)
     for i in range(len(solution.dual)):
@@ -172,7 +172,7 @@ def test_build_relaxation_shapes():
     g = families.path(3)
     from pebbling.strategy import StrategySet
     ss = StrategySet(0, (strategy_from_path(g, [0, 1, 2]),))
-    lp = build_relaxation(g, 0, ss)
+    lp = build_relaxation(g, ss)
     assert lp.num_vars == 2
     assert lp.objective == (1, 1)
     assert lp.constraints == (((Fraction(2), Fraction(1)), Fraction(3)),)
@@ -183,31 +183,23 @@ def test_build_relaxation_shapes():
 def test_build_relaxation_rows_are_ints():
     # a type check, since Fraction(2) == 2
     g = families.petersen()
-    lp = build_relaxation(g, 0, generate_strategies(g, 0, "greedy-search"))
+    lp = build_relaxation(g, generate_strategies(g, 0, "greedy-search"))
     assert all(type(x) is int for row, rhs in lp.constraints for x in (*row, rhs))
     assert all(type(c) is Fraction for c in lp.objective)
-
-
-def test_build_relaxation_root_mismatch():
-    g = families.path(3)
-    from pebbling.strategy import StrategySet
-    ss = StrategySet(0, (strategy_from_path(g, [0, 1]),))
-    with pytest.raises(ValueError):
-        build_relaxation(g, 1, ss)
 
 
 def test_complete4_single_edge_strategies():
     g = families.complete(4)
     from pebbling.strategy import StrategySet
     ss = StrategySet(0, tuple(strategy_from_path(g, [0, v]) for v in (1, 2, 3)))
-    solution = solve_max(build_relaxation(g, 0, ss))
+    solution = solve_max(build_relaxation(g, ss))
     assert solution.value == 3
 
 
 def test_petersen_relaxation_value():
     g = families.petersen()
     ss = generate_strategies(g, 0, "greedy-search")
-    lp = build_relaxation(g, 0, ss)
+    lp = build_relaxation(g, ss)
     solution = solve_max(lp)
     assert solution.value == 9
     # aggregation gives the same 9 as a dual certificate: chi/kappa = 36/4
@@ -217,7 +209,7 @@ def test_petersen_relaxation_value():
 def test_bruhat4_root0_pinned():
     # value, pivot count and point as the Fraction-tableau engine gave them
     g = families.bruhat(4)
-    lp = build_relaxation(g, 0, generate_strategies(g, 0, "greedy-search"))
+    lp = build_relaxation(g, generate_strategies(g, 0, "greedy-search"))
     solution = solve_max(lp)
     assert (lp.num_vars, len(lp.constraints)) == (23, 47)
     assert solution.value == Fraction(135, 2)

@@ -33,7 +33,7 @@ def test_path_strategy_weights_double_toward_root():
     assert s.root == 0
     assert s.weight == {1: 4, 2: 2, 3: 1}
     assert unit_weight(s) == 7
-    assert validate_strategy(g, s).ok
+    validate_strategy(g, s)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -54,7 +54,7 @@ def test_children_of_root_not_constrained_by_doubling():
     g = families.tree_from_parents([-1, 0, 0])
     s = strategy_from_tree(g, 0, {1: 0, 2: 0})
     assert s.weight == {1: 1, 2: 1}
-    assert validate_strategy(g, s).ok
+    validate_strategy(g, s)
 
 
 def test_strategy_rejects_non_edges():
@@ -69,6 +69,12 @@ def test_strategy_rejects_non_edges():
         strategy_from_path(g, [0, 1, 0])
 
 
+@pytest.mark.parametrize("vertices", [[5, 0], [0, 5], [-1, 0], [0, 1, 7]])
+def test_path_strategy_rejects_vertices_outside_the_graph(vertices):
+    with pytest.raises(StrategyError, match="is not an edge of the graph"):
+        strategy_from_path(families.path(3), vertices)
+
+
 def test_depth_limit_enforced():
     n = 70
     g = families.path(n)
@@ -78,23 +84,22 @@ def test_depth_limit_enforced():
 
 def test_validate_catches_each_violation():
     g = families.path(4)
-    ok = strategy_from_path(g, [0, 1, 2, 3])
-    assert validate_strategy(g, ok) == (True, None)
-    bad_root = Strategy(9, {1: 0}, {1: 1})
-    assert not validate_strategy(g, bad_root).ok
-    rooted_parent = Strategy(0, {0: 1, 1: 0}, {0: 1, 1: 2})
-    assert not validate_strategy(g, rooted_parent).ok
-    non_edge = Strategy(0, {3: 0}, {3: 1})
-    assert not validate_strategy(g, non_edge).ok
-    broken_doubling = Strategy(0, {1: 0, 2: 1}, {1: 3, 2: 2})
-    check = validate_strategy(g, broken_doubling)
-    assert not check.ok and "double" in check.problem
-    weight_mismatch = Strategy(0, {1: 0}, {1: 1, 2: 1})
-    assert not validate_strategy(g, weight_mismatch).ok
-    zero_weight = Strategy(0, {1: 0}, {1: 0})
-    assert not validate_strategy(g, zero_weight).ok
-    cycle_parents = Strategy(0, {1: 2, 2: 1}, {1: 2, 2: 2})
-    assert not validate_strategy(g, cycle_parents).ok
+    assert validate_strategy(g, strategy_from_path(g, [0, 1, 2, 3])) is None
+    violations = [
+        (Strategy(9, {1: 0}, {1: 1}), r"root 9 outside 0\.\.3"),
+        (Strategy(0, {}, {}), "strategy has no edges"),
+        (Strategy(0, {0: 1, 1: 0}, {0: 1, 1: 2}), "root 0 has a parent"),
+        (Strategy(0, {4: 0}, {4: 1}), r"vertex 4 outside 0\.\.3"),
+        (Strategy(0, {3: 0}, {3: 1}), r"\(3, 0\) is not an edge of the graph"),
+        (Strategy(0, {1: 2, 2: 1}, {1: 2, 2: 2}), "vertex 1 does not reach the root"),
+        (Strategy(0, {1: 0}, {1: 1, 2: 1}), "weight map does not cover exactly"),
+        (Strategy(0, {1: 0}, {1: 0}), "vertex 1 has nonpositive weight 0"),
+        (Strategy(0, {1: 0, 2: 1}, {1: 1 << 62, 2: 1 << 62}), "unit weight over the 64-bit"),
+        (Strategy(0, {1: 0, 2: 1}, {1: 3, 2: 2}), "weight does not double from 2 to its parent 1"),
+    ]
+    for s, problem in violations:
+        with pytest.raises(StrategyError, match=problem):
+            validate_strategy(g, s)
 
 
 def test_config_weight_and_overflow():
