@@ -1,0 +1,4 @@
+"""python -m pebbling: the command-line tool."""
+import sys
+from .cli import main
+sys.exit(main())

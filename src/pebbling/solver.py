@@ -41,6 +41,13 @@ class EnumerationCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solvability answer.
+
+    explored counts the configurations the depth-first search visited; 0
+    means the answer came without a search, from a pebble on the root, a
+    vertex at its threshold or the push toward the root.
+    """
+
     solvable: bool
     witness: tuple[Move, ...] | None
     explored: int
@@ -147,15 +154,33 @@ def _chain_moves(v, geometry: Geometry) -> list[Move]:
 
 
 def _search(geometry: Geometry, counts) -> tuple[list[Move] | None, int]:
-    """Depth-first search over move sequences with a visited-configuration memo.
+    """Push toward the root, then depth-first search with a visited-configuration memo.
 
     counts must already fail every quick accept (no vertex at or over its
     threshold, root empty).  Returns (moves, explored count): the moves end
     with the one that brought its target vertex up to its threshold, so
     _chain_moves from that vertex completes a witness; None if unsolvable.
+
+    First one bulk push: every source, farthest from the root first, moves
+    c // 2 of its c pebbles to its step toward the root.  These are legal
+    moves, so if they bring a vertex up to its threshold the configuration
+    is solvable and the result is (those moves, 0): explored == 0 means
+    accepted without a search.  Otherwise the search starts from counts.
     """
     threshold = geometry.threshold
+    step = geometry.step
     table = geometry.moves
+    pushed = list(counts)
+    push: list[Move] = []
+    for u, _ in table:
+        k = pushed[u] >> 1
+        if k:
+            v = step[u]
+            pushed[u] -= 2 * k
+            pushed[v] += k
+            push += [(u, v)] * k
+            if pushed[v] >= threshold[v]:
+                return push, 0
     seen = {counts}
     explored = 1
 

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, distances_from, eccentricity
+from .graph import Graph, GraphError, distances_from, eccentricity, is_connected
 from .solver import _bounded_compositions, _level_space, is_solvable
 
 MAX_DEPTH = 62  # keeps every weight and weight sum inside 64-bit range
@@ -350,12 +350,15 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
     assembles paths, spanning trees, and depth-capped branch subtrees, then
     keeps the subset minimizing total weight over minimum coverage.
 
-    Raises StrategyError for options check_generation_options rejects, and
-    CoverageError if the produced set leaves a vertex unreached.
+    Raises StrategyError for options check_generation_options rejects,
+    GraphError for a disconnected graph, and CoverageError if the produced
+    set leaves a vertex unreached.
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} outside 0..{g.n - 1}")
     check_generation_options(method, maxlen, budget)
+    if not is_connected(g):
+        raise GraphError("pebbling numbers need a connected graph")
     if g.n < 2:
         raise StrategyError("strategies need a graph with at least one edge")
     ecc = eccentricity(g, root)

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface via main()."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +279,15 @@ def test_disconnected_graph_is_one_error(verb, tmp_path, capsys):
     assert err == "error: pebbling numbers need a connected graph\n"
 
 
+@pytest.mark.parametrize("verb", ["bound", "strategies"])
+def test_disconnected_graph_is_one_error_at_a_root(verb, tmp_path, capsys):
+    halves = tmp_path / "halves.txt"
+    halves.write_text("4 2\n0 1\n2 3\n")
+    code, out, err = run(capsys, verb, "--graph", str(halves), "--root", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: pebbling numbers need a connected graph\n"
+
+
 @pytest.mark.parametrize("option", [["--budget", "0"], ["--maxlen", "-1"], ["--gen", "magic"]],
                          ids=["budget", "maxlen", "gen"])
 def test_bound_rejects_bad_generation_options_before_any_root(option, path4_file, capsys):
@@ -488,3 +501,14 @@ def test_generation_limits_must_be_positive(option, value, path4_file, capsys):
         main(["strategies", "--graph", path4_file, "--root", "0", *option, value])
     assert exc.value.code == 2
     assert f"{option[-1]}: must be positive, got {value}" in capsys.readouterr().err
+
+
+# -- python -m pebbling ---------------------------------------------------------
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pebbling", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: pebbling")

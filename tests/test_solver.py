@@ -1,16 +1,20 @@
 """Exhaustive solver: solvability search, witnesses, and pebbling numbers."""
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebbling import families, solver
+from pebbling.graph import distances_from
 from pebbling.solver import (
     ConfigFormatError,
     EnumerationCapError,
     _bounded_compositions,
+    _level_space,
     _root_geometry,
+    _search,
     apply_moves,
     format_config,
     is_solvable,
@@ -109,6 +113,73 @@ def test_far_stack_doubles_per_step():
     g = families.path(4)
     assert is_solvable(g, (0, 0, 0, 8), 0).solvable
     assert not is_solvable(g, (0, 0, 0, 7), 0).solvable
+
+
+# ---------------------------------------------------------------------------
+# the push toward the root against a plain search
+
+def _reference_solver(g, root):
+    """Plain memoized search over configurations: every move, no push, no thresholds."""
+    @functools.lru_cache(maxsize=None)
+    def solvable(c):
+        if c[root]:
+            return True
+        for u in range(g.n):
+            if c[u] >= 2:
+                for v in g.adj[u]:
+                    nxt = list(c)
+                    nxt[u] -= 2
+                    nxt[v] += 1
+                    if solvable(tuple(nxt)):
+                        return True
+        return False
+    return solvable
+
+
+def _push_accepts(g, config, root):
+    """Farthest first, every vertex moves c // 2 of its c pebbles to its
+    lowest-numbered neighbor one step closer to the root; does some vertex
+    reach 2^dist?"""
+    dist = distances_from(g, root)
+    c = list(config)
+    for u in sorted((v for v in range(g.n) if dist[v]), key=lambda v: (-dist[v], v)):
+        v = min(w for w in g.adj[u] if dist[w] == dist[u] - 1)
+        c[v] += c[u] // 2
+        c[u] %= 2
+        if c[v] >= 1 << dist[v]:
+            return True
+    return False
+
+
+_PUSH_GRAPHS = [("path5", families.path(5)), ("cycle6", families.cycle(6)),
+                ("hypercube3", families.hypercube(3)),
+                ("tree-a", families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]))]
+
+
+@pytest.mark.parametrize("g,root", [(g, root) for _, g in _PUSH_GRAPHS for root in range(g.n)],
+                         ids=[f"{name}-r{root}" for name, g in _PUSH_GRAPHS for root in range(g.n)])
+def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root):
+    # A solvable answer is checked by replaying its witness, which proves the
+    # plain search would find one too; an unsolvable one by the plain search.
+    reference = _reference_solver(g, root)
+    dist = distances_from(g, root)
+    caps = [(1 << d) - 1 for d in dist]
+    for config in itertools.product(*(range(cap + 1) for cap in caps)):
+        result = is_solvable(g, config, root)
+        if result.solvable:
+            assert apply_moves(config, result.witness)[root] >= 1, config
+        else:
+            assert result.witness is None and not reference(config), config
+        assert (result.explored == 0) == _push_accepts(g, config, root), config
+
+
+def test_every_level_64_configuration_of_path7_is_pushed_to_the_root():
+    geometry, caps = _level_space(families.path(7), 6)
+    configs = list(_bounded_compositions(64, caps))
+    assert len(configs) == 32767
+    for config in configs:
+        moves, explored = _search(geometry, config)
+        assert moves is not None and explored == 0, config
 
 
 # ---------------------------------------------------------------------------
