@@ -21,6 +21,7 @@ from .solver import (
     DEFAULT_MAX_CONFIGS,
     ConfigFormatError,
     EnumerationCapError,
+    SearchCapError,
     format_config,
     is_solvable,
     max_unsolvable,
@@ -107,8 +108,10 @@ def _cmd_solve(args) -> int:
         moves = " ".join(f"{u}->{v}" for u, v in result.witness)
         text = f"solvable in {len(result.witness)} moves: {moves}" if moves \
             else "solvable with no moves (root already holds a pebble)"
-    else:
+    elif result.explored:
         text = f"unsolvable (explored {result.explored} configurations)"
+    else:
+        text = "unsolvable (decided without a search)"
     _emit(args, payload, text)
     return 0
 
@@ -376,7 +379,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphError, StrategyError, ConfigFormatError,
-            EnumerationCapError, ValueError, OSError) as exc:
+            EnumerationCapError, SearchCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

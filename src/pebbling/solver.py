@@ -17,8 +17,13 @@ from typing import NamedTuple
 from .graph import Graph, GraphError, distances_from, is_connected, root_orbits
 
 DEFAULT_MAX_CONFIGS = 10_000_000
+# Configurations one depth-first search may visit before SearchCapError: a
+# search stopped there on the 24-vertex bruhat(4) peaked at 280 MB RSS after
+# 11 s (2-core VM, Python 3.11).
+DEFAULT_MAX_STATES = 1_000_000
 
 Move = tuple[int, int]
+Run = tuple[int, int, int]  # (u, v, k): k moves from u to v
 
 
 class ConfigFormatError(ValueError):
@@ -39,13 +44,27 @@ class EnumerationCapError(RuntimeError):
         )
 
 
+class SearchCapError(RuntimeError):
+    """A solvability search visited more configurations than the cap allows."""
+
+    def __init__(self, cap: int, explored: int):
+        self.cap = cap
+        self.explored = explored
+        super().__init__(
+            f"the solvability search explored {explored} configurations, over the cap of "
+            f"{cap}, without an answer"
+        )
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """A solvability answer.
 
     explored counts the configurations the depth-first search visited; 0
-    means the answer came without a search, from a pebble on the root, a
-    vertex at its threshold or the push toward the root.
+    means the answer came without a search: from a pebble on the root or a
+    vertex at its threshold, from the push toward the root, from routing
+    pebbles to one target, or, on a tree, from the failed push (the tree
+    rule), which proves the configuration unsolvable.
     """
 
     solvable: bool
@@ -112,19 +131,39 @@ class Geometry(NamedTuple):
 
     threshold[v] = 2^dist(v, root): a vertex holding that many pebbles can
     ship one to the root along a shortest path unaided.  step[v] is the
-    lowest-numbered neighbor one hop closer to the root.  moves pairs each
-    source vertex with the neighbors it may send to, sources from the
-    farthest from the root to the nearest and targets from the nearest to
-    the farthest, ties by index, so the search tries the step toward the
-    root first.  Neither the root nor a vertex it cannot reach is a source:
-    the root is empty in every searched state, and pebbles off its
-    component never reach it.
+    lowest-numbered neighbor one hop closer to the root, and chains[v] the
+    runs that ship that pebble along step (empty at the root and off its
+    component); every witness ends with one.  moves pairs each source
+    vertex with the neighbors it may send to, sources from the farthest
+    from the root to the nearest and targets from the nearest to the
+    farthest, ties by index, so the search tries the step toward the root
+    first.  Neither the root nor a vertex it cannot reach is a source: the
+    root is empty in every searched state, and pebbles off its component
+    never reach it.
+
+    The rest serves the decisions _search makes without a search.  The
+    push follows step.  tree says the root's component is a tree, where a
+    failed push proves a configuration unsolvable.  routes holds, for every
+    source t from the nearest to the root to the farthest, ties by index,
+    (t, threshold[t], the distance row dist(., t), the next-step table
+    toward t): target routing sums over the row and ships along the table.
     """
 
     dist: tuple[int | None, ...]
     threshold: tuple[int | None, ...]
     step: tuple[int | None, ...]
+    chains: tuple[tuple[Run, ...], ...]
     moves: tuple[tuple[int, tuple[int, ...]], ...]
+    tree: bool
+    routes: tuple[tuple[int, int, tuple[int | None, ...], tuple[int | None, ...]], ...]
+
+
+def _steps_toward(g: Graph, dist) -> tuple[int | None, ...]:
+    """Each vertex's lowest-numbered neighbor one hop closer to where dist is 0."""
+    return tuple(
+        min(u for u in g.adj[v] if dist[u] == dist[v] - 1) if dist[v] else None
+        for v in range(g.n)
+    )
 
 
 @functools.lru_cache(maxsize=256)
@@ -132,55 +171,89 @@ def _root_geometry(g: Graph, root: int) -> Geometry:
     """The geometry of a root, computed once per graph value and root."""
     dist = distances_from(g, root)
     threshold = tuple(None if d is None else 1 << d for d in dist)
-    step = tuple(
-        min(u for u in g.adj[v] if dist[u] == dist[v] - 1) if dist[v] else None
-        for v in range(g.n)
-    )
+    step = _steps_toward(g, dist)
+    chains = tuple(tuple(_chain_runs(v, d or 0, 1, step)) for v, d in enumerate(dist))
     sources = sorted((v for v in range(g.n) if dist[v]), key=lambda v: (-dist[v], v))
     moves = tuple((u, tuple(sorted(g.adj[u], key=lambda v: (dist[v], v)))) for u in sources)
-    return Geometry(tuple(dist), threshold, step, moves)
+    reach = [v for v in range(g.n) if dist[v] is not None]
+    tree = sum(len(g.adj[v]) for v in reach) == 2 * (len(reach) - 1)
+    routes = []
+    for t in sorted(sources, key=lambda v: (dist[v], v)):
+        row = distances_from(g, t)
+        routes.append((t, threshold[t], tuple(row), _steps_toward(g, row)))
+    return Geometry(tuple(dist), threshold, step, chains, moves, tree, tuple(routes))
 
 
-def _chain_moves(v, geometry: Geometry) -> list[Move]:
-    """Moves sending one pebble from v to the root using only v's own stack."""
-    moves = []
-    d = geometry.dist[v]
-    u = v
-    for i in range(d):
-        nxt = geometry.step[u]
-        moves.extend([(u, nxt)] * (1 << (d - 1 - i)))
-        u = nxt
-    return moves
+def _chain_runs(v, d: int, k: int, step) -> list[Run]:
+    """Runs shipping k pebbles from v along the d hops step follows, using k * 2^d of v's own."""
+    runs = []
+    for i in range(d - 1, -1, -1):
+        nxt = step[v]
+        runs.append((v, nxt, k << i))
+        v = nxt
+    return runs
 
 
-def _search(geometry: Geometry, counts) -> tuple[list[Move] | None, int]:
-    """Push toward the root, then depth-first search with a visited-configuration memo.
+def _moves(runs) -> tuple[Move, ...]:
+    """The moves the runs stand for, in order."""
+    moves: list[Move] = []
+    for u, v, k in runs:
+        moves += [(u, v)] * k
+    return tuple(moves)
+
+
+def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
+    """Decide counts by a rule where one applies, else by depth-first search.
 
     counts must already fail every quick accept (no vertex at or over its
-    threshold, root empty).  Returns (moves, explored count): the moves end
-    with the one that brought its target vertex up to its threshold, so
-    _chain_moves from that vertex completes a witness; None if unsolvable.
+    threshold, root empty).  Returns (runs, explored count); a run (u, v, k)
+    stands for k moves from u to v.  The runs end with one that brought its
+    target vertex up to its threshold, so that vertex's chain completes a
+    witness; None if unsolvable.  Only is_solvable expands runs into moves,
+    so a level scan builds no move list.
 
-    First one bulk push: every source, farthest from the root first, moves
-    c // 2 of its c pebbles to its step toward the root.  These are legal
-    moves, so if they bring a vertex up to its threshold the configuration
-    is solvable and the result is (those moves, 0): explored == 0 means
-    accepted without a search.  Otherwise the search starts from counts.
+    explored == 0 means one of three rules decided, tried in this order:
+
+    - The push: every source, farthest from the root first, moves c // 2 of
+      its c pebbles to its step toward the root.  These are legal moves, so
+      if they bring a vertex up to its threshold, counts is solvable.
+    - The tree rule: on a tree every useful move goes toward the root (a
+      pebble sent away could only come back over the same edge, a cycle the
+      No-Cycle Lemma rules out), so the push is optimal play and its
+      failure proves counts unsolvable.
+    - Target routing: for each target t, nearest to the root first, every
+      vertex v ships c(v) >> dist(v, t) of its own pebbles to t along a
+      geodesic.  If t gathers threshold[t], counts is solvable.
+
+    Otherwise a depth-first search with a visited-configuration memo starts
+    from counts; it raises SearchCapError once it has visited more than
+    DEFAULT_MAX_STATES configurations.
     """
     threshold = geometry.threshold
     step = geometry.step
     table = geometry.moves
     pushed = list(counts)
-    push: list[Move] = []
+    runs: list[Run] = []
     for u, _ in table:
         k = pushed[u] >> 1
         if k:
             v = step[u]
             pushed[u] -= 2 * k
             pushed[v] += k
-            push += [(u, v)] * k
+            runs.append((u, v, k))
             if pushed[v] >= threshold[v]:
-                return push, 0
+                return runs, 0
+    if geometry.tree:
+        return None, 0
+    held = [(u, counts[u]) for u, _ in table if counts[u]]
+    for t, need, row, toward in geometry.routes:
+        if sum(c >> row[v] for v, c in held) >= need:
+            runs = []
+            for v, c in held:
+                if c >> row[v]:
+                    runs += _chain_runs(v, row[v], c >> row[v], toward)
+            return runs, 0
+    cap = DEFAULT_MAX_STATES
     seen = {counts}
     explored = 1
 
@@ -191,7 +264,7 @@ def _search(geometry: Geometry, counts) -> tuple[list[Move] | None, int]:
                     yield u, v
 
     stack = [(counts, move_iter(counts))]
-    trail: list[Move] = []
+    trail: list[Run] = []
     while stack:
         c, it = stack[-1]
         step_uv = next(it, None)
@@ -206,36 +279,44 @@ def _search(geometry: Geometry, counts) -> tuple[list[Move] | None, int]:
         nxt[v] += 1
         # only v gained pebbles, so the quick accept can only fire there
         if nxt[v] >= threshold[v]:
-            trail.append((u, v))
+            trail.append((u, v, 1))
             return trail, explored
         t = tuple(nxt)
         if t not in seen:
             seen.add(t)
             explored += 1
+            if explored > cap:
+                raise SearchCapError(cap, explored)
             stack.append((t, move_iter(t)))
-            trail.append((u, v))
+            trail.append((u, v, 1))
     return None, explored
 
 
 def is_solvable(g: Graph, config, root: int) -> SolveResult:
-    """Decide whether config can put a pebble on root; carries a replayable witness."""
+    """Decide whether config can put a pebble on root; carries a replayable witness.
+
+    Raises SearchCapError if the depth-first search needs more than
+    DEFAULT_MAX_STATES configurations.
+    """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} outside 0..{g.n - 1}")
     counts = tuple(config)
     if len(counts) != g.n:
         raise ValueError(f"configuration length {len(counts)} does not match {g.n} vertices")
-    if any(c < 0 for c in counts):
+    if min(counts) < 0:
         raise ValueError("configuration counts must be nonnegative")
     if counts[root] >= 1:
         return SolveResult(True, (), 0)
     geometry = _root_geometry(g, root)
+    chains = geometry.chains
     for v, t in enumerate(geometry.threshold):
         if t is not None and counts[v] >= t:
-            return SolveResult(True, tuple(_chain_moves(v, geometry)), 0)
-    moves, explored = _search(geometry, counts)
-    if moves is None:
+            return SolveResult(True, _moves(chains[v]), 0)
+    runs, explored = _search(geometry, counts)
+    if runs is None:
         return SolveResult(False, None, explored)
-    return SolveResult(True, tuple(moves + _chain_moves(moves[-1][1], geometry)), explored)
+    runs += chains[runs[-1][1]]
+    return SolveResult(True, _moves(runs), explored)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pebbling import cli, verify
+from pebbling import cli, solver, verify
 from pebbling.cli import main
 from pebbling.graph import read_edge_list
 from pebbling.lp import LpSolution, build_relaxation, check_certificate, solve_max
@@ -121,6 +121,47 @@ def test_solve_malformed_config(path4_file, capsys):
                        "--config", "nonsense")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_solve_says_when_no_search_was_needed(path4_file, petersen_file, capsys):
+    # on a tree the failed push decides; on petersen the search proves it
+    code, out, _ = run(capsys, "solve", "--graph", path4_file, "--root", "0",
+                       "--config", "3:7")
+    assert code == 0
+    assert out == "unsolvable (decided without a search)\n"
+    code, out, _ = run(capsys, "solve", "--graph", petersen_file, "--root", "0",
+                       "--config", "2:1,3:1,6:1,7:1,8:3,9:1")
+    assert code == 0
+    assert out == "unsolvable (explored 60 configurations)\n"
+    code, out, _ = run(capsys, "solve", "--graph", path4_file, "--root", "0",
+                       "--config", "3:7", "--json")
+    payload = json.loads(out)
+    assert (payload["solvable"], payload["witness"], payload["explored"]) == (False, None, 0)
+
+
+def test_solve_concentrated_bruhat4_configuration(tmp_path, capsys):
+    path = tmp_path / "b4.txt"
+    code, _, _ = run(capsys, "family", "--kind", "bruhat", "--size", "4", "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "solve", "--graph", str(path), "--root", "0",
+                       "--config", "1:1,23:63", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["solvable"] is True and payload["explored"] == 0
+
+
+@pytest.mark.parametrize("verb", [
+    ["solve", "--root", "0", "--config", "2:1,3:1,6:1,7:1,8:3,9:1"],
+    ["pi", "--root", "0"],
+    ["max-unsolvable", "--root", "0"],
+], ids=["solve", "pi", "max-unsolvable"])
+def test_search_cap_is_one_error_line(verb, petersen_file, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "DEFAULT_MAX_STATES", 2)
+    code, out, err = run(capsys, *verb, "--graph", petersen_file)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the solvability search explored 3 configurations, "
+                          "over the cap of 2")
+    assert err.count("\n") == 1
 
 
 # -- pi and max-unsolvable ------------------------------------------------------

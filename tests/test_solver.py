@@ -11,6 +11,7 @@ from pebbling.graph import distances_from
 from pebbling.solver import (
     ConfigFormatError,
     EnumerationCapError,
+    SearchCapError,
     _bounded_compositions,
     _level_space,
     _root_geometry,
@@ -116,7 +117,7 @@ def test_far_stack_doubles_per_step():
 
 
 # ---------------------------------------------------------------------------
-# the push toward the root against a plain search
+# the decisions made without a search, against a plain search
 
 def _reference_solver(g, root):
     """Plain memoized search over configurations: every move, no push, no thresholds."""
@@ -151,17 +152,34 @@ def _push_accepts(g, config, root):
     return False
 
 
-_PUSH_GRAPHS = [("path5", families.path(5)), ("cycle6", families.cycle(6)),
-                ("hypercube3", families.hypercube(3)),
-                ("tree-a", families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]))]
+def _route_accepts(g, config, root):
+    """Does some vertex t collect 2^dist(t, root) pebbles when every vertex
+    v sends t the c // 2^dist(v, t) pebbles its own stack can carry there?"""
+    dist = distances_from(g, root)
+    for t in range(g.n):
+        to_t = distances_from(g, t)
+        if sum(c // 2 ** to_t[v] for v, c in enumerate(config)) >= 2 ** dist[t]:
+            return True
+    return False
 
 
-@pytest.mark.parametrize("g,root", [(g, root) for _, g in _PUSH_GRAPHS for root in range(g.n)],
-                         ids=[f"{name}-r{root}" for name, g in _PUSH_GRAPHS for root in range(g.n)])
+_SWEEP_GRAPHS = [("path5", families.path(5), range(5)), ("cycle6", families.cycle(6), range(6)),
+                ("hypercube3", families.hypercube(3), range(8)),
+                ("tree-a", families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]), range(7)),
+                # vertex-transitive, so one root; routing accepts some of its
+                # configurations that the push does not
+                ("petersen", families.petersen(), range(1))]
+
+
+@pytest.mark.parametrize("g,root", [(g, root) for _, g, roots in _SWEEP_GRAPHS for root in roots],
+                         ids=[f"{name}-r{root}" for name, _, roots in _SWEEP_GRAPHS for root in roots])
 def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root):
     # A solvable answer is checked by replaying its witness, which proves the
     # plain search would find one too; an unsolvable one by the plain search.
+    # The answer comes without a search exactly when the tree rule, the push
+    # or target routing, each re-implemented above, decides it.
     reference = _reference_solver(g, root)
+    is_tree = g.num_edges == g.n - 1  # the sweep's graphs are connected
     dist = distances_from(g, root)
     caps = [(1 << d) - 1 for d in dist]
     for config in itertools.product(*(range(cap + 1) for cap in caps)):
@@ -170,7 +188,8 @@ def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root
             assert apply_moves(config, result.witness)[root] >= 1, config
         else:
             assert result.witness is None and not reference(config), config
-        assert (result.explored == 0) == _push_accepts(g, config, root), config
+        decided = is_tree or _push_accepts(g, config, root) or _route_accepts(g, config, root)
+        assert (result.explored == 0) == decided, config
 
 
 def test_every_level_64_configuration_of_path7_is_pushed_to_the_root():
@@ -180,6 +199,55 @@ def test_every_level_64_configuration_of_path7_is_pushed_to_the_root():
     for config in configs:
         moves, explored = _search(geometry, config)
         assert moves is not None and explored == 0, config
+
+
+def test_tree_answers_come_without_a_search():
+    g = families.tree_from_parents([-1, 0, 0, 1, 1, 2, 2])
+    result = is_solvable(g, (0, 0, 0, 3, 1, 1, 1), 0)
+    assert not result.solvable and result.witness is None and result.explored == 0
+    result = is_solvable(g, (0, 0, 0, 3, 3, 0, 0), 0)
+    assert result.solvable and result.explored == 0
+
+
+def test_the_tree_rule_reads_the_roots_component():
+    # 5 vertices and 4 edges, but the root's component is a 4-cycle: the
+    # push sends vertex 2's pebble to vertex 1 and fails, while routing to
+    # vertex 3 solves it
+    from pebbling.graph import new_graph
+    g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert not _root_geometry(g, 0).tree
+    result = is_solvable(g, (0, 0, 2, 1, 0), 0)
+    assert result.solvable and result.explored == 0
+    assert result.witness == ((2, 3), (3, 0))
+
+
+def test_concentrated_bruhat4_configuration_is_routed_without_a_search():
+    # 63 pebbles on the antipode of root 0 and 1 on vertex 1: vertex 23
+    # ships 63 >> 5 = 1 pebble to vertex 1 along a geodesic, and vertex 1
+    # then holds 2 = 2^dist(1, 0).  The depth-first search alone ran for
+    # minutes without an answer.
+    g = families.bruhat(4)
+    config = parse_config("1:1,23:63", g.n)
+    result = is_solvable(g, config, 0)
+    assert result.solvable and result.explored == 0
+    assert len(result.witness) == 32
+    assert apply_moves(config, result.witness)[0] >= 1
+
+
+def test_the_search_stops_past_its_state_cap(monkeypatch):
+    # the push and routing both fail here, and the search visits 60
+    # configurations before it proves the configuration unsolvable
+    g, explored = families.petersen(), 60
+    config = parse_config("2:1,3:1,6:1,7:1,8:3,9:1", g.n)
+    monkeypatch.setattr(solver, "DEFAULT_MAX_STATES", explored)
+    result = is_solvable(g, config, 0)
+    assert not result.solvable and result.explored == explored
+    monkeypatch.setattr(solver, "DEFAULT_MAX_STATES", explored - 1)
+    with pytest.raises(SearchCapError) as err:
+        is_solvable(g, config, 0)
+    assert (err.value.cap, err.value.explored) == (explored - 1, explored)
+    assert str(err.value) == (f"the solvability search explored {explored} configurations, "
+                              f"over the cap of {explored - 1}, without an answer")
 
 
 # ---------------------------------------------------------------------------
