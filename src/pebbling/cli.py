@@ -24,7 +24,6 @@ from .solver import (
     SearchCapError,
     format_config,
     is_solvable,
-    max_unsolvable,
     parse_config,
     pebbling_number,
     pebbling_number_max,
@@ -44,10 +43,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
-
-
-def _load_graph(path: str):
-    return read_edge_list(path)
 
 
 def _load_strategies(args, g):
@@ -93,7 +88,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     config = _read_config(args, g.n)
     start = time.perf_counter()
     result = is_solvable(g, config, args.root)
@@ -117,7 +112,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     start = time.perf_counter()
     if args.root is not None:
         result = pebbling_number(g, args.root, max_configs=args.max_configs)
@@ -137,18 +132,8 @@ def _cmd_pi(args) -> int:
     return 0
 
 
-def _cmd_max_unsolvable(args) -> int:
-    g = _load_graph(args.graph)
-    value, config = max_unsolvable(g, args.root, max_configs=args.max_configs)
-    payload = {"value": value, "root": args.root,
-               "config": format_config(config)}
-    _emit(args, payload, f"largest unsolvable total {value} for root {args.root}; "
-                         f"witness {format_config(config) or '(empty)'}")
-    return 0
-
-
 def _cmd_strategies(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     ss = generate_strategies(g, args.root, args.method, maxlen=args.maxlen,
                              budget=args.budget, seed=args.seed)
     report = bounds.ratio_report(g, ss)
@@ -177,7 +162,7 @@ def _report_text(report: bounds.BoundReport) -> str:
 
 
 def _cmd_bound(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     if args.strategies or args.root is not None:
         if args.strategies:
             ss = _load_strategies(args, g)
@@ -207,7 +192,7 @@ def _print_pivot(count, entering, leaving, value) -> None:
 
 
 def _cmd_lp(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     ss = _load_strategies(args, g)
     lp = build_relaxation(g, ss)
     solution = solve_max(lp, on_pivot=_print_pivot if args.verbose else None)
@@ -231,7 +216,7 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_tree_pi(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     if args.root is not None:
         value = treepi.tree_pebbling_number(g, args.root)
         root = args.root
@@ -333,12 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=None)
     _add_max_configs_arg(p)
     p.set_defaults(func=_cmd_pi)
-
-    p = add_verb("max-unsolvable", "largest unsolvable pebble total")
-    _add_graph_arg(p)
-    p.add_argument("--root", type=int, required=True)
-    _add_max_configs_arg(p)
-    p.set_defaults(func=_cmd_max_unsolvable)
 
     p = add_verb("strategies", "generate a covering strategy set")
     _add_graph_arg(p)

@@ -117,6 +117,19 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def decimal_int(text: str, *, signed: bool = False) -> int:
+    """The integer text spells in ASCII decimal digits, after a "-" if signed.
+
+    Stricter than int(), which also reads "_" separators, a "+" sign,
+    surrounding whitespace and non-ASCII digits such as the Arabic-Indic
+    "\u0663"; raises ValueError for those.
+    """
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def from_edge_list(text: str) -> Graph:
     """Parse edge-list text produced by to_edge_list.  Strict about shape.
 
@@ -131,9 +144,9 @@ def from_edge_list(text: str) -> Graph:
     if len(header) != 2:
         raise GraphFormatError('expected header "n m"', line=1)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = decimal_int(header[0]), decimal_int(header[1])
     except ValueError:
-        raise GraphFormatError('expected two integers in header "n m"', line=1) from None
+        raise GraphFormatError('expected two nonnegative integers in header "n m"', line=1) from None
     if n == 0:
         raise GraphFormatError("the graph has no vertices", line=1)
     if len(lines) - 1 != m:
@@ -144,9 +157,9 @@ def from_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError('expected an edge line "u v"', line=i)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = decimal_int(parts[0]), decimal_int(parts[1])
         except ValueError:
-            raise GraphFormatError('expected two integers on edge line', line=i) from None
+            raise GraphFormatError('expected two nonnegative integers on edge line', line=i) from None
         edges.append((u, v))
     try:
         return new_graph(n, edges)

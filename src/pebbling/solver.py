@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, distances_from, is_connected, root_orbits
+from .graph import Graph, GraphError, decimal_int, distances_from, is_connected, root_orbits
 
 DEFAULT_MAX_CONFIGS = 10_000_000
 # Configurations one depth-first search may visit before SearchCapError: a
@@ -62,9 +62,9 @@ class SolveResult:
 
     explored counts the configurations the depth-first search visited; 0
     means the answer came without a search: from a pebble on the root or a
-    vertex at its threshold, from the push toward the root, from routing
-    pebbles to one target, or, on a tree, from the failed push (the tree
-    rule), which proves the configuration unsolvable.
+    vertex at its threshold, from the push toward some target, or, on a
+    tree, from the failed push toward the root (the tree rule), which proves
+    the configuration unsolvable.
     """
 
     solvable: bool
@@ -98,7 +98,7 @@ def parse_config(text: str, n: int) -> tuple[int, ...]:
         if len(parts) != 2:
             raise ConfigFormatError(f"expected vertex:count, got {field!r}")
         try:
-            v, c = int(parts[0]), int(parts[1])
+            v, c = decimal_int(parts[0]), decimal_int(parts[1], signed=True)
         except ValueError:
             raise ConfigFormatError(f"expected integers in {field!r}") from None
         if not 0 <= v < n:
@@ -130,40 +130,39 @@ class Geometry(NamedTuple):
     """What the search needs to know about one (graph, root) pair.
 
     threshold[v] = 2^dist(v, root): a vertex holding that many pebbles can
-    ship one to the root along a shortest path unaided.  step[v] is the
-    lowest-numbered neighbor one hop closer to the root, and chains[v] the
-    runs that ship that pebble along step (empty at the root and off its
-    component); every witness ends with one.  moves pairs each source
-    vertex with the neighbors it may send to, sources from the farthest
-    from the root to the nearest and targets from the nearest to the
-    farthest, ties by index, so the search tries the step toward the root
-    first.  Neither the root nor a vertex it cannot reach is a source: the
-    root is empty in every searched state, and pebbles off its component
-    never reach it.
+    ship one to the root along a shortest path unaided.  chains[v] holds the
+    runs that ship that pebble along the push toward the root (empty at the
+    root and off its component); every witness ends with one.
 
-    The rest serves the decisions _search makes without a search.  The
-    push follows step.  tree says the root's component is a tree, where a
-    failed push proves a configuration unsolvable.  routes holds, for every
-    source t from the nearest to the root to the farthest, ties by index,
-    (t, threshold[t], the distance row dist(., t), the next-step table
-    toward t): target routing sums over the row and ships along the table.
+    pushes holds one push order per target t: the root first, then the other
+    vertices of the root's component, nearest to the root first, ties by
+    index.  A push order lists the edges (u, next) of every other vertex u
+    of the component, farthest from t first, ties by index; next is u's
+    lowest-numbered neighbor one hop closer to t.  tree says the root's
+    component is a tree; there pushes holds only the root's order, whose
+    failure proves a configuration unsolvable.
+
+    moves pairs each source vertex of the root's push order, in that order,
+    with the neighbors the depth-first search may send to, from the nearest
+    to the root to the farthest, ties by index, so the search tries the
+    step toward the root first.  Neither the root nor a vertex it cannot
+    reach is a source: the root is empty in every searched state, and
+    pebbles off its component never reach it.
     """
 
     dist: tuple[int | None, ...]
     threshold: tuple[int | None, ...]
-    step: tuple[int | None, ...]
     chains: tuple[tuple[Run, ...], ...]
     moves: tuple[tuple[int, tuple[int, ...]], ...]
     tree: bool
-    routes: tuple[tuple[int, int, tuple[int | None, ...], tuple[int | None, ...]], ...]
+    pushes: tuple[tuple[Move, ...], ...]
 
 
-def _steps_toward(g: Graph, dist) -> tuple[int | None, ...]:
-    """Each vertex's lowest-numbered neighbor one hop closer to where dist is 0."""
-    return tuple(
-        min(u for u in g.adj[v] if dist[u] == dist[v] - 1) if dist[v] else None
-        for v in range(g.n)
-    )
+def _push_order(g: Graph, t: int, component) -> tuple[Move, ...]:
+    """The edges (u, next) that push the component's pebbles toward t."""
+    to_t = distances_from(g, t)
+    order = sorted((u for u in component if to_t[u]), key=lambda u: (-to_t[u], u))
+    return tuple((u, min(w for w in g.adj[u] if to_t[w] == to_t[u] - 1)) for u in order)
 
 
 @functools.lru_cache(maxsize=256)
@@ -171,25 +170,22 @@ def _root_geometry(g: Graph, root: int) -> Geometry:
     """The geometry of a root, computed once per graph value and root."""
     dist = distances_from(g, root)
     threshold = tuple(None if d is None else 1 << d for d in dist)
-    step = _steps_toward(g, dist)
-    chains = tuple(tuple(_chain_runs(v, d or 0, 1, step)) for v, d in enumerate(dist))
-    sources = sorted((v for v in range(g.n) if dist[v]), key=lambda v: (-dist[v], v))
-    moves = tuple((u, tuple(sorted(g.adj[u], key=lambda v: (dist[v], v)))) for u in sources)
-    reach = [v for v in range(g.n) if dist[v] is not None]
-    tree = sum(len(g.adj[v]) for v in reach) == 2 * (len(reach) - 1)
-    routes = []
-    for t in sorted(sources, key=lambda v: (dist[v], v)):
-        row = distances_from(g, t)
-        routes.append((t, threshold[t], tuple(row), _steps_toward(g, row)))
-    return Geometry(tuple(dist), threshold, step, chains, moves, tree, tuple(routes))
+    component = [v for v in range(g.n) if dist[v] is not None]
+    tree = sum(len(g.adj[v]) for v in component) == 2 * (len(component) - 1)
+    targets = sorted(component, key=lambda v: (dist[v], v))[:1 if tree else None]
+    pushes = tuple(_push_order(g, t, component) for t in targets)
+    step = dict(pushes[0])
+    moves = tuple((u, tuple(sorted(g.adj[u], key=lambda v: (dist[v], v)))) for u in step)
+    chains = tuple(tuple(_chain_runs(v, d or 0, step)) for v, d in enumerate(dist))
+    return Geometry(tuple(dist), threshold, chains, moves, tree, pushes)
 
 
-def _chain_runs(v, d: int, k: int, step) -> list[Run]:
-    """Runs shipping k pebbles from v along the d hops step follows, using k * 2^d of v's own."""
+def _chain_runs(v, d: int, step) -> list[Run]:
+    """Runs shipping one pebble from v along the d hops step follows, using 2^d of v's own."""
     runs = []
     for i in range(d - 1, -1, -1):
         nxt = step[v]
-        runs.append((v, nxt, k << i))
+        runs.append((v, nxt, 1 << i))
         v = nxt
     return runs
 
@@ -203,7 +199,7 @@ def _moves(runs) -> tuple[Move, ...]:
 
 
 def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
-    """Decide counts by a rule where one applies, else by depth-first search.
+    """Decide counts by pushing pebbles where that decides, else by depth-first search.
 
     counts must already fail every quick accept (no vertex at or over its
     threshold, root empty).  Returns (runs, explored count); a run (u, v, k)
@@ -212,47 +208,38 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
     witness; None if unsolvable.  Only is_solvable expands runs into moves,
     so a level scan builds no move list.
 
-    explored == 0 means one of three rules decided, tried in this order:
+    explored == 0 means a rule decided:
 
-    - The push: every source, farthest from the root first, moves c // 2 of
-      its c pebbles to its step toward the root.  These are legal moves, so
-      if they bring a vertex up to its threshold, counts is solvable.
+    - The push, once per target t in geometry.pushes, the root first: along
+      every edge (u, next) of t's order, u moves c // 2 of its c pebbles to
+      next.  These are legal moves, so if they bring a vertex up to its
+      threshold, counts is solvable.  As floor((a + b) / 2) >= floor(a / 2)
+      + floor(b / 2), t collects at least the sum over v of c(v) >>
+      dist(v, t): every stack's own share, shipped along a geodesic.
     - The tree rule: on a tree every useful move goes toward the root (a
       pebble sent away could only come back over the same edge, a cycle the
-      No-Cycle Lemma rules out), so the push is optimal play and its
-      failure proves counts unsolvable.
-    - Target routing: for each target t, nearest to the root first, every
-      vertex v ships c(v) >> dist(v, t) of its own pebbles to t along a
-      geodesic.  If t gathers threshold[t], counts is solvable.
+      No-Cycle Lemma rules out), so the push toward the root is optimal play
+      and its failure proves counts unsolvable.
 
     Otherwise a depth-first search with a visited-configuration memo starts
     from counts; it raises SearchCapError once it has visited more than
     DEFAULT_MAX_STATES configurations.
     """
     threshold = geometry.threshold
-    step = geometry.step
-    table = geometry.moves
-    pushed = list(counts)
-    runs: list[Run] = []
-    for u, _ in table:
-        k = pushed[u] >> 1
-        if k:
-            v = step[u]
-            pushed[u] -= 2 * k
-            pushed[v] += k
-            runs.append((u, v, k))
-            if pushed[v] >= threshold[v]:
-                return runs, 0
+    for order in geometry.pushes:
+        pushed = list(counts)
+        runs: list[Run] = []
+        for u, v in order:
+            k = pushed[u] >> 1
+            if k:
+                pushed[u] -= 2 * k
+                pushed[v] += k
+                runs.append((u, v, k))
+                if pushed[v] >= threshold[v]:
+                    return runs, 0
     if geometry.tree:
         return None, 0
-    held = [(u, counts[u]) for u, _ in table if counts[u]]
-    for t, need, row, toward in geometry.routes:
-        if sum(c >> row[v] for v, c in held) >= need:
-            runs = []
-            for v, c in held:
-                if c >> row[v]:
-                    runs += _chain_runs(v, row[v], c >> row[v], toward)
-            return runs, 0
+    table = geometry.moves
     cap = DEFAULT_MAX_STATES
     seen = {counts}
     explored = 1
@@ -439,13 +426,6 @@ def _witness_below(g: Graph, root, geometry, caps, lower) -> tuple[int, ...]:
         return counts
     # cannot happen for either canonical witness; fall back to a full scan
     return _scan_level(geometry, caps, lower - 1)
-
-
-def max_unsolvable(g: Graph, root: int, *,
-                   max_configs: int = DEFAULT_MAX_CONFIGS) -> tuple[int, tuple[int, ...]]:
-    """Largest unsolvable total for the root, with a witness configuration."""
-    result = pebbling_number(g, root, max_configs=max_configs)
-    return result.value - 1, result.critical_config
 
 
 def pebbling_number_max(g: Graph, *, max_configs: int = DEFAULT_MAX_CONFIGS,

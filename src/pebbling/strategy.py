@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, distances_from, eccentricity, is_connected
+from .graph import Graph, GraphError, decimal_int, distances_from, eccentricity, is_connected
 from .solver import _bounded_compositions, _level_space, is_solvable
 
 MAX_DEPTH = 62  # keeps every weight and weight sum inside 64-bit range
@@ -515,9 +515,12 @@ def _int_map(entry: dict, key: str) -> dict[int, int]:
     if not isinstance(field, dict) or not all(_is_int(x) for x in field.values()):
         raise StrategyError(f'"{key}" is not an object of integers')
     try:
-        return {int(v): x for v, x in field.items()}
+        result = {decimal_int(v, signed=True): x for v, x in field.items()}
     except ValueError as exc:
         raise StrategyError(f'"{key}" has a non-integer vertex: {exc}') from exc
+    if len(result) != len(field):  # "2" and "02" are one vertex
+        raise StrategyError(f'"{key}" names a vertex twice')
+    return result
 
 
 def _strategy_from_entry(g: Graph, root: int, entry) -> Strategy:

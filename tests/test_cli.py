@@ -150,21 +150,24 @@ def test_solve_concentrated_bruhat4_configuration(tmp_path, capsys):
     assert payload["solvable"] is True and payload["explored"] == 0
 
 
-@pytest.mark.parametrize("verb", [
-    ["solve", "--root", "0", "--config", "2:1,3:1,6:1,7:1,8:3,9:1"],
-    ["pi", "--root", "0"],
-    ["max-unsolvable", "--root", "0"],
-], ids=["solve", "pi", "max-unsolvable"])
-def test_search_cap_is_one_error_line(verb, petersen_file, capsys, monkeypatch):
+@pytest.mark.parametrize("family,verb", [
+    (["--kind", "petersen"], ["solve", "--root", "0", "--config", "2:1,3:1,6:1,7:1,8:3,9:1"]),
+    # every configuration of Petersen's scan is decided without a search;
+    # 52 of the 1,524 that cycle(7)'s scan visits at root 0 still need one
+    (["--kind", "cycle", "--size", "7"], ["pi", "--root", "0"]),
+], ids=["solve", "pi"])
+def test_search_cap_is_one_error_line(family, verb, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.txt")
+    assert run(capsys, "family", *family, "--out", path)[0] == 0
     monkeypatch.setattr(solver, "DEFAULT_MAX_STATES", 2)
-    code, out, err = run(capsys, *verb, "--graph", petersen_file)
+    code, out, err = run(capsys, *verb, "--graph", path)
     assert code == 1 and out == ""
     assert err.startswith("error: the solvability search explored 3 configurations, "
                           "over the cap of 2")
     assert err.count("\n") == 1
 
 
-# -- pi and max-unsolvable ------------------------------------------------------
+# -- pi -----------------------------------------------------------------------
 
 def test_pi_single_root(path4_file, capsys):
     code, out, _ = run(capsys, "pi", "--graph", path4_file, "--root", "0", "--json")
@@ -189,15 +192,6 @@ def test_pi_json_stable_between_runs(path4_file, capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
-
-
-def test_max_unsolvable(path4_file, capsys):
-    code, out, _ = run(capsys, "max-unsolvable", "--graph", path4_file,
-                       "--root", "0", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["value"] == 7
-    assert payload["config"] == "3:7"
 
 
 def test_enumeration_cap_over_all_roots_is_a_clean_error(path4_file, capsys):
@@ -514,8 +508,7 @@ def test_unknown_verb_exits_two(capsys):
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
-@pytest.mark.parametrize("verb", [["pi"], ["max-unsolvable", "--root", "0"]],
-                         ids=["pi", "max-unsolvable"])
+@pytest.mark.parametrize("verb", [["pi"]], ids=["pi"])
 def test_max_configs_must_be_positive(verb, cap, path4_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*verb, "--graph", path4_file, "--max-configs", cap])

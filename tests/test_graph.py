@@ -127,6 +127,11 @@ def test_edge_list_file_round_trip(tmp_path):
     ("3 1\n0 1\n1 2\n", 1),
     ("2 1\n0 two\n", 2),
     ("2 1\n0 1 9\n", 2),
+    # int() reads n = 10, n = -3 and vertex 1 twice
+    ("1_0 1\n0 1\n", 1),
+    ("-3 0\n", 1),
+    ("2 1\n0 +1\n", 2),
+    ("2 1\n0 \u0661\n", 2),
 ])
 def test_edge_list_errors_carry_line_numbers(text, line):
     with pytest.raises(GraphFormatError) as err:

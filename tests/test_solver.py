@@ -19,7 +19,6 @@ from pebbling.solver import (
     apply_moves,
     format_config,
     is_solvable,
-    max_unsolvable,
     parse_config,
     pebbling_number,
     pebbling_number_max,
@@ -38,7 +37,10 @@ def test_config_round_trip():
     assert format_config((0, 0, 0)) == ""
 
 
-@pytest.mark.parametrize("text", ["2:1,1:1", "1:1,1:2", "5:1", "a:1", "1", "1:-2"])
+@pytest.mark.parametrize("text", ["2:1,1:1", "1:1,1:2", "5:1", "a:1", "1", "1:-2",
+                                  # int() reads these as 10 pebbles on vertex 1
+                                  # and 3 on vertex 2
+                                  "1:1_0", "+2:\u0663", "2: 3"])
 def test_config_rejects_malformed(text):
     with pytest.raises(ConfigFormatError):
         parse_config(text, 4)
@@ -137,14 +139,14 @@ def _reference_solver(g, root):
     return solvable
 
 
-def _push_accepts(g, config, root):
-    """Farthest first, every vertex moves c // 2 of its c pebbles to its
-    lowest-numbered neighbor one step closer to the root; does some vertex
-    reach 2^dist?"""
-    dist = distances_from(g, root)
+def _push_accepts(g, config, root, target):
+    """Farthest from target first, every other vertex moves c // 2 of its c
+    pebbles to its lowest-numbered neighbor one step closer to target; does
+    some vertex reach 2^dist(., root)?"""
+    dist, to_t = distances_from(g, root), distances_from(g, target)
     c = list(config)
-    for u in sorted((v for v in range(g.n) if dist[v]), key=lambda v: (-dist[v], v)):
-        v = min(w for w in g.adj[u] if dist[w] == dist[u] - 1)
+    for u in sorted((v for v in range(g.n) if to_t[v]), key=lambda v: (-to_t[v], v)):
+        v = min(w for w in g.adj[u] if to_t[w] == to_t[u] - 1)
         c[v] += c[u] // 2
         c[u] %= 2
         if c[v] >= 1 << dist[v]:
@@ -166,8 +168,9 @@ def _route_accepts(g, config, root):
 _SWEEP_GRAPHS = [("path5", families.path(5), range(5)), ("cycle6", families.cycle(6), range(6)),
                 ("hypercube3", families.hypercube(3), range(8)),
                 ("tree-a", families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]), range(7)),
-                # vertex-transitive, so one root; routing accepts some of its
-                # configurations that the push does not
+                # vertex-transitive, so one root; the pushes toward other
+                # targets accept some of its configurations that the push
+                # toward the root does not
                 ("petersen", families.petersen(), range(1))]
 
 
@@ -176,8 +179,9 @@ _SWEEP_GRAPHS = [("path5", families.path(5), range(5)), ("cycle6", families.cycl
 def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root):
     # A solvable answer is checked by replaying its witness, which proves the
     # plain search would find one too; an unsolvable one by the plain search.
-    # The answer comes without a search exactly when the tree rule, the push
-    # or target routing, each re-implemented above, decides it.
+    # The answer comes without a search exactly when the tree rule or the
+    # push toward some target, each re-implemented above, decides it; every
+    # configuration that routing to one target would solve is among them.
     reference = _reference_solver(g, root)
     is_tree = g.num_edges == g.n - 1  # the sweep's graphs are connected
     dist = distances_from(g, root)
@@ -188,8 +192,9 @@ def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root
             assert apply_moves(config, result.witness)[root] >= 1, config
         else:
             assert result.witness is None and not reference(config), config
-        decided = is_tree or _push_accepts(g, config, root) or _route_accepts(g, config, root)
+        decided = is_tree or any(_push_accepts(g, config, root, t) for t in range(g.n))
         assert (result.explored == 0) == decided, config
+        assert result.explored == 0 or not _route_accepts(g, config, root), config
 
 
 def test_every_level_64_configuration_of_path7_is_pushed_to_the_root():
@@ -211,8 +216,8 @@ def test_tree_answers_come_without_a_search():
 
 def test_the_tree_rule_reads_the_roots_component():
     # 5 vertices and 4 edges, but the root's component is a 4-cycle: the
-    # push sends vertex 2's pebble to vertex 1 and fails, while routing to
-    # vertex 3 solves it
+    # push toward the root sends vertex 2's pebble to vertex 1 and fails,
+    # while the push toward vertex 3 solves it
     from pebbling.graph import new_graph
     g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert not _root_geometry(g, 0).tree
@@ -221,22 +226,23 @@ def test_the_tree_rule_reads_the_roots_component():
     assert result.witness == ((2, 3), (3, 0))
 
 
-def test_concentrated_bruhat4_configuration_is_routed_without_a_search():
-    # 63 pebbles on the antipode of root 0 and 1 on vertex 1: vertex 23
-    # ships 63 >> 5 = 1 pebble to vertex 1 along a geodesic, and vertex 1
-    # then holds 2 = 2^dist(1, 0).  The depth-first search alone ran for
-    # minutes without an answer.
+def test_concentrated_bruhat4_configuration_is_pushed_without_a_search():
+    # 63 pebbles on the antipode of root 0 and 1 on vertex 1: the push
+    # toward vertex 1 carries 63 >> 5 = 1 pebble from vertex 23 there along
+    # a geodesic, and vertex 1 then holds 2 = 2^dist(1, 0).  The push moves
+    # whole stacks: 31 + 15 + 7 + 3 + 1 moves to vertex 1, then one to the
+    # root.  The depth-first search alone ran for minutes without an answer.
     g = families.bruhat(4)
     config = parse_config("1:1,23:63", g.n)
     result = is_solvable(g, config, 0)
     assert result.solvable and result.explored == 0
-    assert len(result.witness) == 32
+    assert len(result.witness) == 58
     assert apply_moves(config, result.witness)[0] >= 1
 
 
 def test_the_search_stops_past_its_state_cap(monkeypatch):
-    # the push and routing both fail here, and the search visits 60
-    # configurations before it proves the configuration unsolvable
+    # every push fails here, and the search visits 60 configurations before
+    # it proves the configuration unsolvable
     g, explored = families.petersen(), 60
     config = parse_config("2:1,3:1,6:1,7:1,8:3,9:1", g.n)
     monkeypatch.setattr(solver, "DEFAULT_MAX_STATES", explored)
@@ -275,30 +281,25 @@ def test_path4_maximized_at_endpoint():
     assert result.root in (0, 3)
 
 
-def test_max_unsolvable_witnesses():
-    value, config = max_unsolvable(families.complete(4), 0)
-    assert value == 3 and config == (0, 1, 1, 1)
-    value, config = max_unsolvable(families.path(3), 0)
-    assert value == 3 and config == (0, 0, 3)
-    value, config = max_unsolvable(families.cycle(5), 0)
-    assert value == 4
-    assert not is_solvable(families.cycle(5), config, 0).solvable
-
-
-@pytest.mark.parametrize("solve,critical", [
-    (lambda: pebbling_number(families.path(7), 6), (63, 0, 0, 0, 0, 0, 0)),
-    (lambda: pebbling_number(families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]), 5),
+@pytest.mark.parametrize("solve,value,critical", [
+    (lambda: pebbling_number(families.path(7), 6), 64, (63, 0, 0, 0, 0, 0, 0)),
+    (lambda: pebbling_number(families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]), 5), 33,
      (0, 0, 0, 1, 0, 0, 31)),
-    (lambda: pebbling_number_max(families.cycle(8)), (0, 0, 0, 0, 15, 0, 0, 0)),
-    (lambda: pebbling_number_max(families.petersen()), (0, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (lambda: pebbling_number_max(families.cycle(8)), 16, (0, 0, 0, 0, 15, 0, 0, 0)),
+    (lambda: pebbling_number_max(families.petersen()), 10, (0, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
     # path(7) relabelled as 5-3-1-0-2-4-6, rooted at the end 5
-    (lambda: pebbling_number(families.tree_from_parents([-1, 0, 0, 1, 2, 3, 4]), 5),
+    (lambda: pebbling_number(families.tree_from_parents([-1, 0, 0, 1, 2, 3, 4]), 5), 64,
      (0, 0, 0, 0, 0, 0, 63)),
-], ids=["path7-r6", "tree-r5", "cycle8", "petersen", "relabelled-path7-r5"])
-def test_critical_configurations_are_pinned(solve, critical):
+    (lambda: pebbling_number(families.complete(4), 0), 4, (0, 1, 1, 1)),
+    (lambda: pebbling_number(families.path(3), 0), 4, (0, 0, 3)),
+    (lambda: pebbling_number(families.cycle(5), 0), 5, (0, 1, 1, 1, 1)),
+], ids=["path7-r6", "tree-r5", "cycle8", "petersen", "relabelled-path7-r5", "complete4-r0",
+        "path3-r0", "cycle5-r0"])
+def test_critical_configurations_are_pinned(solve, value, critical):
     # the first unsolvable configuration in enumeration order: any change to
     # the search or the enumeration must keep it
-    assert solve().critical_config == critical
+    result = solve()
+    assert (result.value, result.critical_config) == (value, critical)
 
 
 @pytest.mark.parametrize("caps", [(), (0,), (0, 0), (2,), (0, 3, 0), (1, 3, 7),

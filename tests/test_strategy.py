@@ -273,6 +273,11 @@ def test_json_missing_fields_rejected():
     ([1, 0], "object"),
     ({"parent": {"1": False}}, '"parent" is not an object of integers'),
     ({"parent": {"1": 0}, "weight": {"1": True}}, '"weight" is not an object of integers'),
+    # int() reads each of these vertices as 1
+    ({"parent": {"+1": 0}}, "non-integer vertex"),
+    ({"parent": {"0_1": 0}}, "non-integer vertex"),
+    ({"parent": {"1": 0}, "weight": {" 1": 1}}, "non-integer vertex"),
+    ({"parent": {"1": 0, "01": 0}}, '"parent" names a vertex twice'),
 ])
 def test_json_invalid_entry_named_by_index(entry, problem):
     data = {"root": 0, "strategies": [{"parent": {"1": 0}}, entry]}
