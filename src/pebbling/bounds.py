@@ -27,7 +27,6 @@ class BoundReport:
     min_coverage: int
     total_unit_weight: int
     ratio_bound: int
-    strategy_count: int
     lp_value: Fraction | None = None
     lp_bound: int | None = None
     lp_dual: tuple[Fraction, ...] | None = None  # one multiplier per strategy
@@ -86,7 +85,7 @@ def ratio_report(g: Graph, ss: StrategySet) -> BoundReport:
     """The report at ss.root without LP fields: coverage, total weight, ratio bound."""
     kappa = min_coverage(g, ss)
     chi = total_unit_weight(ss)
-    return BoundReport(ss.root, kappa, chi, aggregate_bound(kappa, chi), len(ss.strategies))
+    return BoundReport(ss.root, kappa, chi, aggregate_bound(kappa, chi))
 
 
 def lp_bound(g: Graph, ss: StrategySet) -> BoundReport:
@@ -148,7 +147,7 @@ def _mapped_error(exc: ValueError, sigma) -> str:
 
 def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
                 maxlen: int | None = None, budget: int | None = None,
-                seed: int = 0, threads: int = 1) -> GraphBounds:
+                threads: int = 1) -> GraphBounds:
     """Bound the pebbling number of the whole graph: one report per root.
 
     Roots are grouped into automorphism orbits.  For each orbit, strategies
@@ -157,10 +156,10 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
     optimum passes its certificate against that root's own relaxation.  On
     a vertex-transitive graph one LP is solved and every other root is
     certificate-checked.  Every root of an orbit thus reports the least
-    root's strategy set, mapped; generators that break ties by vertex number
-    or shuffle with the seed may give another, equally sound, bound when run
-    at that root itself (as lp_bound on generate_strategies(g, root, gen)
-    does).  If the least root fails, its whole orbit fails with the same
+    root's strategy set, mapped; greedy-search breaks ties by vertex number,
+    so generating at that root itself (as lp_bound on
+    generate_strategies(g, root, gen) does) may give another, equally sound,
+    bound.  If the least root fails, its whole orbit fails with the same
     error, a CoverageError's vertices mapped to each member root.
 
     The overall bound is the maximum over roots of the tightest per-root
@@ -180,7 +179,7 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
     for orbit in root_orbits(g):
         rep = orbit.rep
         try:
-            ss = generate_strategies(g, rep, gen, maxlen=maxlen, budget=budget, seed=seed)
+            ss = generate_strategies(g, rep, gen, maxlen=maxlen, budget=budget)
             if method == "lp":
                 report, solution = _solved_lp_report(g, ss)
             else:

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import bounds, families, treepi, verify
-from .graph import GraphError, read_edge_list, to_edge_list, write_edge_list
+from .graph import GraphError, decimal_int, read_edge_list, to_edge_list, write_edge_list
 from .lp import build_relaxation, check_certificate, fraction_text, solve_max
 from .solver import (
     DEFAULT_MAX_CONFIGS,
@@ -70,7 +70,7 @@ def _cmd_family(args) -> int:
     parents = None
     if args.parents is not None:
         try:
-            parents = [int(p) for p in args.parents.split(",")]
+            parents = [decimal_int(p, signed=True) for p in args.parents.split(",")]
         except ValueError as exc:
             raise GraphError(f"parents must be comma-separated integers: {exc}") from exc
     g = families.build_family(args.kind, args.size, parents)
@@ -135,7 +135,7 @@ def _cmd_pi(args) -> int:
 def _cmd_strategies(args) -> int:
     g = read_edge_list(args.graph)
     ss = generate_strategies(g, args.root, args.method, maxlen=args.maxlen,
-                             budget=args.budget, seed=args.seed)
+                             budget=args.budget)
     report = bounds.ratio_report(g, ss)
     if args.out:
         save_strategy_set(ss, args.out)
@@ -168,14 +168,13 @@ def _cmd_bound(args) -> int:
             ss = _load_strategies(args, g)
         else:
             ss = generate_strategies(g, args.root, args.gen, maxlen=args.maxlen,
-                                     budget=args.budget, seed=args.seed)
+                                     budget=args.budget)
         report = bounds.lp_bound(g, ss) if args.method == "lp" \
             else bounds.ratio_report(g, ss)
         _emit(args, report.to_json_dict(), _report_text(report))
         return 0
     graph_bounds = bounds.bound_graph(g, method=args.method, gen=args.gen,
-                                      maxlen=args.maxlen, budget=args.budget,
-                                      seed=args.seed)
+                                      maxlen=args.maxlen, budget=args.budget)
     if args.json:
         print(json.dumps(graph_bounds.to_json_dict(g), indent=2))
     else:
@@ -261,11 +260,16 @@ def _add_graph_arg(sub) -> None:
     sub.add_argument("--graph", required=True, help="edge-list file")
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
+    """A signed ASCII decimal integer: int() would also read "1_0", "+2", " 3" and "\u0663"."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        return decimal_int(text, signed=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -281,8 +285,8 @@ def _add_gen_args(sub, flag: str) -> None:
     sub.add_argument(flag, default="greedy-search", choices=GENERATION_METHODS,
                      help="strategy generation method")
     sub.add_argument("--maxlen", type=_positive_int, default=None, help="path length cap")
-    sub.add_argument("--budget", type=_positive_int, default=None, help="candidate budget")
-    sub.add_argument("--seed", type=int, default=0, help="shuffle seed")
+    sub.add_argument("--budget", type=_positive_int, default=None,
+                     help="greedy-search candidate pool cap")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("family", "generate a named graph family")
     p.add_argument("--kind", required=True, choices=families.FAMILY_KINDS)
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--size", type=_int, default=None,
                    help="n for path/cycle/complete/bruhat, d for hypercube")
     p.add_argument("--parents", default=None,
                    help="comma-separated parent array for --kind tree (-1 marks the root)")
@@ -307,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("solve", "decide whether a configuration reaches the root")
     _add_graph_arg(p)
-    p.add_argument("--root", type=int, required=True)
+    p.add_argument("--root", type=_int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help='inline configuration "v:count,v:count"')
     group.add_argument("--config-file", help="file holding one configuration line")
@@ -315,20 +319,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("pi", "exact pebbling number (all roots unless --root)")
     _add_graph_arg(p)
-    p.add_argument("--root", type=int, default=None)
+    p.add_argument("--root", type=_int, default=None)
     _add_max_configs_arg(p)
     p.set_defaults(func=_cmd_pi)
 
     p = add_verb("strategies", "generate a covering strategy set")
     _add_graph_arg(p)
-    p.add_argument("--root", type=int, required=True)
+    p.add_argument("--root", type=_int, required=True)
     _add_gen_args(p, "--method")
     p.add_argument("--out", default=None, help="write the strategy set JSON here")
     p.set_defaults(func=_cmd_strategies)
 
     p = add_verb("bound", "pebbling bounds from strategy sets")
     _add_graph_arg(p)
-    p.add_argument("--root", type=int, default=None)
+    p.add_argument("--root", type=_int, default=None)
     p.add_argument("--strategies", default=None, help="strategy set JSON file")
     p.add_argument("--method", default="lp", choices=("ratio", "lp"))
     _add_gen_args(p, "--gen")
@@ -336,14 +340,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("lp", "solve the strategy-set linear relaxation")
     _add_graph_arg(p)
-    p.add_argument("--root", type=int, default=None)
+    p.add_argument("--root", type=_int, default=None)
     p.add_argument("--strategies", required=True)
     p.add_argument("--verbose", action="store_true", help="print simplex pivots")
     p.set_defaults(func=_cmd_lp)
 
     p = add_verb("tree-pi", "exact tree pebbling number via path partition")
     _add_graph_arg(p)
-    p.add_argument("--root", type=int, default=None)
+    p.add_argument("--root", type=_int, default=None)
     p.set_defaults(func=_cmd_tree_pi)
 
     p = add_verb("verify", "recompute the package's reference values")

@@ -11,7 +11,6 @@ module exploits.
 from __future__ import annotations
 
 import json
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,7 +18,7 @@ from typing import NamedTuple
 from .graph import Graph, GraphError, decimal_int, distances_from, eccentricity, is_connected
 from .solver import _bounded_compositions, _level_space, is_solvable
 
-MAX_DEPTH = 62  # keeps every weight and weight sum inside 64-bit range
+MAX_DEPTH = 62  # bounds each weight by 2^61; the sum of the weights is checked on its own
 GENERATION_METHODS = ("greedy-search", "all-paths", "bfs-trees")
 _WEIGHT_LIMIT = (1 << 63) - 1
 
@@ -56,8 +55,22 @@ class StrategySet:
                 raise StrategyError(f"strategy rooted at {s.root} in a set rooted at {self.root}")
 
 
-def _depths(root: int, parent: dict[int, int]) -> dict[int, int]:
-    """Depth of every strategy vertex; raises if the parent map is not a tree."""
+def _depths(g: Graph, root: int, parent: dict[int, int]) -> dict[int, int]:
+    """Depth of every strategy vertex; raises StrategyError naming the first violation.
+
+    The parent map must be nonempty and give the root no parent; each of its
+    vertices must lie in g, be joined to its parent by an edge of g, and
+    reach the root through parents.
+    """
+    if not parent:
+        raise StrategyError("strategy has no edges")
+    if root in parent:
+        raise StrategyError(f"root {root} has a parent")
+    for v, p in sorted(parent.items()):
+        if not 0 <= v < g.n:
+            raise StrategyError(f"vertex {v} outside 0..{g.n - 1}")
+        if not g.has_edge(v, p):
+            raise StrategyError(f"({v}, {p}) is not an edge of the graph")
     depth = {root: 0}
     for v in parent:
         chain = []
@@ -77,20 +90,16 @@ def strategy_from_tree(g: Graph, root: int, parent: dict[int, int]) -> Strategy:
     """Strategy from a parent map: each vertex gets weight 2^(h - depth).
 
     h is the height of the subtree, so the deepest vertices carry weight 1
-    and weights double toward the root.
+    and weights double toward the root.  Raises StrategyError if the map is
+    not a tree of g rooted at root, or if the unit weight leaves 64-bit range.
     """
-    if not parent:
-        raise StrategyError("a strategy needs at least one edge")
-    if root in parent:
-        raise StrategyError("the root cannot have a parent")
-    for v, p in parent.items():
-        if not (0 <= v < g.n and g.has_edge(v, p)):
-            raise StrategyError(f"({v}, {p}) is not an edge of the graph")
-    depth = _depths(root, parent)
+    depth = _depths(g, root, parent)
     height = max(depth.values())
     if height > MAX_DEPTH:
         raise StrategyError(f"strategy depth {height} over the limit of {MAX_DEPTH}")
     weight = {v: 1 << (height - d) for v, d in depth.items() if v != root}
+    if sum(weight.values()) > _WEIGHT_LIMIT:
+        raise StrategyError("unit weight over the 64-bit limit")
     return Strategy(root, dict(parent), weight)
 
 
@@ -111,16 +120,7 @@ def validate_strategy(g: Graph, s: Strategy) -> None:
     """Check the strategy invariants; raises StrategyError naming the first violation."""
     if not 0 <= s.root < g.n:
         raise StrategyError(f"root {s.root} outside 0..{g.n - 1}")
-    if not s.parent:
-        raise StrategyError("strategy has no edges")
-    if s.root in s.parent:
-        raise StrategyError(f"root {s.root} has a parent")
-    for v, p in sorted(s.parent.items()):
-        if not 0 <= v < g.n:
-            raise StrategyError(f"vertex {v} outside 0..{g.n - 1}")
-        if not g.has_edge(v, p):
-            raise StrategyError(f"({v}, {p}) is not an edge of the graph")
-    _depths(s.root, s.parent)
+    _depths(g, s.root, s.parent)
     if set(s.weight) != set(s.parent):
         raise StrategyError("weight map does not cover exactly the non-root vertices")
     for v, w in sorted(s.weight.items()):
@@ -154,26 +154,15 @@ def unit_weight(s: Strategy) -> int:
 # ---------------------------------------------------------------------------
 # generation
 
-def _bfs_parent_map(g: Graph, root: int, order_key) -> dict[int, int]:
-    parent = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(g.adj[u], key=order_key):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                queue.append(v)
-    return parent
-
-
-def _branch_tree(g: Graph, root: int, branches, depth_cap: int) -> dict[int, int] | None:
+def _branch_tree(g: Graph, root: int, branches, depth_cap: int) -> dict[int, int]:
     """Parent map of a breadth-first forest grown from the given neighbors of root.
 
     The forest lives in the graph with the root deleted, each branch vertex
     hanging under the root, truncated at the given strategy depth.  Vertices
-    are visited in ascending order for determinism.
+    are visited in ascending order for determinism.  With every neighbor of
+    the root as a branch and a depth cap of the root's eccentricity, it is
+    the breadth-first spanning tree: every vertex sits at its distance from
+    the root.
     """
     parent = {}
     depth = {}
@@ -191,7 +180,7 @@ def _branch_tree(g: Graph, root: int, branches, depth_cap: int) -> dict[int, int
                 depth[v] = depth[u] + 1
                 parent[v] = u
                 queue.append(v)
-    return parent if parent else None
+    return parent
 
 
 def _geodesic_spines(g: Graph, root: int, limit: int) -> list[tuple[int, ...]]:
@@ -345,10 +334,13 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
     """Build a covering strategy set for the root.
 
     all-paths: every simple path from the root with at most maxlen edges
-    (default: the root's eccentricity).  bfs-trees: breadth-first spanning
-    trees under distinct neighbor orderings, deduplicated.  greedy-search:
-    assembles paths, spanning trees, and depth-capped branch subtrees, then
-    keeps the subset minimizing total weight over minimum coverage.
+    (default: the root's eccentricity).  bfs-trees: one breadth-first
+    spanning tree, the distance strategy with weights 2^(ecc - dist(v, root));
+    every breadth-first tree has these weights, so one tree is the whole set.
+    greedy-search: pools at most budget (default 256) paths, spanning trees
+    and depth-capped branch subtrees, then keeps the subset minimizing total
+    weight over minimum coverage.  Every method is deterministic: seed is
+    accepted and ignored.
 
     Raises StrategyError for options check_generation_options rejects,
     GraphError for a disconnected graph, and CoverageError if the produced
@@ -367,19 +359,7 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
         limit = maxlen if maxlen is not None else ecc
         strategies = [strategy_from_path(g, p) for p in _all_simple_paths(g, root, limit)]
     elif method == "bfs-trees":
-        count = budget if budget is not None else 8
-        rng = random.Random(seed)
-        seen_trees = set()
-        strategies = []
-        base = list(range(g.n))
-        for _ in range(count):
-            key = {v: i for i, v in enumerate(base)}
-            parent = _bfs_parent_map(g, root, key.__getitem__)
-            frozen = tuple(sorted(parent.items()))
-            if frozen not in seen_trees:
-                seen_trees.add(frozen)
-                strategies.append(strategy_from_tree(g, root, parent))
-            rng.shuffle(base)
+        strategies = [strategy_from_tree(g, root, _branch_tree(g, root, g.adj[root], ecc))]
     else:
         strategies = _greedy_search(g, root, ecc, maxlen, budget)
 
@@ -414,14 +394,10 @@ def _greedy_search(g: Graph, root: int, ecc: int, maxlen: int | None,
     for depth_cap in range(1, MAX_DEPTH + 1):
         family = []
         for b in neighbors:
-            parent = _branch_tree(g, root, [b], depth_cap)
-            if parent is not None:
-                i = push(parent)
-                if i is not None:
-                    family.append(i)
-        parent = _branch_tree(g, root, neighbors, depth_cap)
-        if parent is not None:
-            push(parent)
+            i = push(_branch_tree(g, root, [b], depth_cap))
+            if i is not None:
+                family.append(i)
+        push(_branch_tree(g, root, neighbors, depth_cap))
         family = sorted(set(family))
         if family and family != previous:
             families.append(family)

@@ -1,6 +1,7 @@
 import pytest
 
 from pebbling import families
+from pebbling.graph import new_graph
 
 
 @pytest.fixture
@@ -38,3 +39,12 @@ def small_catalog():
         ("hypercube(2)", families.hypercube(2), 4),
         ("hypercube(3)", families.hypercube(3), 8),
     ]
+
+
+def deep_broom():
+    """The path 0..62 with ten leaves on 0.
+
+    Rooted at 0, its spanning tree keeps every weight at or below 2^61, but
+    its unit weight is 6 * 2^62 - 1, past the 64-bit limit.
+    """
+    return new_graph(73, [(v, v + 1) for v in range(62)] + [(0, leaf) for leaf in range(63, 73)])

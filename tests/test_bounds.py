@@ -211,12 +211,14 @@ def test_bound_graph_reports_every_root():
 
 
 def test_benchmark_entry_points_accept_an_ignored_threads_keyword():
-    # the exact call forms of perfbench/workloads.py; threads changes nothing
+    # the exact call forms of perfbench/workloads.py; threads and seed change nothing
     g = families.path(7)  # four root orbits
     assert pebbling_number(g, 6, threads=1) == pebbling_number(g, 6)
     assert pebbling_number_max(g, threads=2) == pebbling_number_max(g)
     assert (bound_graph(g, "lp", gen="greedy-search", threads=2)
             == bound_graph(g, "lp", gen="greedy-search"))
+    for method in GENERATION_METHODS:
+        assert generate_strategies(g, 2, method, seed=5) == generate_strategies(g, 2, method)
 
 
 # -- one generation and one LP per root orbit ---------------------------------

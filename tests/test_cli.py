@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import deep_broom
 from pebbling import cli, solver, verify
 from pebbling.cli import main
-from pebbling.graph import read_edge_list
+from pebbling.graph import read_edge_list, write_edge_list
 from pebbling.lp import LpSolution, build_relaxation, check_certificate, solve_max
 from pebbling.strategy import load_strategy_set
 from pebbling.verify import CheckResult
@@ -402,6 +403,19 @@ def test_invalid_strategy_file_is_an_error(verb, entry, problem, tmp_path, capsy
 
 
 @pytest.mark.parametrize("verb", ["bound", "lp"])
+def test_weightless_entry_over_the_unit_weight_limit_is_one_error(verb, tmp_path, capsys):
+    broom = deep_broom()
+    graph_path = tmp_path / "broom.txt"
+    write_edge_list(broom, graph_path)
+    ss_path = tmp_path / "strategies.json"
+    ss_path.write_text(json.dumps(
+        {"root": 0, "strategies": [{"parent": {str(v): u for u, v in broom.edges()}}]}))
+    code, out, err = run(capsys, verb, "--graph", str(graph_path), "--strategies", str(ss_path))
+    assert (code, out) == (1, "")
+    assert err == "error: strategy 0: unit weight over the 64-bit limit\n"
+
+
+@pytest.mark.parametrize("verb", ["bound", "lp"])
 @pytest.mark.parametrize("data,problem", [
     ({"root": 0.9, "strategies": [{"parent": {"1": 0}}]}, '"root" must be an integer'),
     ({"root": 0, "strategies": "ab"}, '"strategies" must be a list'),
@@ -522,6 +536,60 @@ def test_threads_flag_is_a_usage_error(verb, path4_file, capsys):
         main([verb, "--graph", path4_file, "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["strategies", "bound"])
+def test_seed_flag_is_a_usage_error(verb, path4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--graph", path4_file, "--root", "0", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+# int() reads each of these as an integer: 10, 2, 3 and the Arabic-Indic 3
+NON_DECIMAL = pytest.mark.parametrize("value", ["1_0", "+2", " 3", "\u0663"],
+                                      ids=["underscore", "plus", "space", "arabic-indic"])
+
+
+# every integer option, last in its argv
+INTEGER_OPTIONS = [
+    ["family", "--kind", "path", "--size"],
+    ["solve", "--config", "0:1", "--root"],
+    ["pi", "--root"],
+    ["pi", "--max-configs"],
+    ["strategies", "--root", "0", "--maxlen"],
+    ["strategies", "--root"],
+    ["bound", "--budget"],
+    ["bound", "--root"],
+    ["lp", "--strategies", "set.json", "--root"],
+    ["tree-pi", "--root"],
+]
+
+
+@NON_DECIMAL
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=[f"{a[0]}{a[-1]}" for a in INTEGER_OPTIONS])
+def test_integer_options_take_ascii_decimal_digits_only(argv, value, path4_file, capsys):
+    graph = [] if argv[0] == "family" else ["--graph", path4_file]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *graph, *argv[1:], value])
+    assert exc.value.code == 2
+    assert f"{argv[-1]}: not a decimal integer: {value!r}" in capsys.readouterr().err
+
+
+@NON_DECIMAL
+def test_family_parents_take_ascii_decimal_digits_only(value, capsys):
+    code, out, err = run(capsys, "family", "--kind", "tree", f"--parents=-1,0,{value}")
+    assert (code, out) == (1, "")
+    assert err == ("error: parents must be comma-separated integers: "
+                   f"not a decimal integer: {value!r}\n")
+
+
+@pytest.mark.parametrize("verb", [["solve", "--config", "0:1"], ["pi"], ["strategies"],
+                                  ["bound"], ["tree-pi"]], ids=lambda verb: verb[0])
+def test_negative_root_is_a_library_error(verb, path4_file, capsys):
+    code, out, err = run(capsys, verb[0], "--graph", path4_file, *verb[1:], "--root", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: root -1 outside 0..3\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

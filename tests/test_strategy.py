@@ -4,8 +4,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import deep_broom
 from pebbling import families, strategy
+from pebbling.bounds import lp_bound
 from pebbling.graph import GraphError, distances_from, new_graph
 from pebbling.solver import is_solvable
 from pebbling.strategy import (
@@ -69,9 +72,14 @@ def test_strategy_rejects_non_edges():
         strategy_from_path(g, [0, 1, 0])
 
 
-@pytest.mark.parametrize("vertices", [[5, 0], [0, 5], [-1, 0], [0, 1, 7]])
-def test_path_strategy_rejects_vertices_outside_the_graph(vertices):
-    with pytest.raises(StrategyError, match="is not an edge of the graph"):
+@pytest.mark.parametrize("vertices,problem", [
+    ([5, 0], r"\(0, 5\) is not an edge of the graph"),
+    ([0, 5], r"vertex 5 outside 0\.\.2"),
+    ([-1, 0], r"\(0, -1\) is not an edge of the graph"),
+    ([0, 1, 7], r"vertex 7 outside 0\.\.2"),
+], ids=["vertices0", "vertices1", "vertices2", "vertices3"])
+def test_path_strategy_rejects_vertices_outside_the_graph(vertices, problem):
+    with pytest.raises(StrategyError, match=problem):
         strategy_from_path(families.path(3), vertices)
 
 
@@ -154,13 +162,28 @@ def test_all_paths_respects_maxlen():
     assert 3 in err.value.vertices
 
 
-def test_bfs_trees_are_spanning_and_deduplicated():
-    g = families.cycle(6)
-    ss = generate_strategies(g, 0, "bfs-trees", budget=16)
-    for s in ss.strategies:
-        assert set(s.parent) == {1, 2, 3, 4, 5}
-    trees = {tuple(sorted(s.parent.items())) for s in ss.strategies}
-    assert len(trees) == len(ss.strategies)
+def connected_graphs():
+    """A random tree (vertex v > 0 hangs under an earlier vertex) plus extra edges."""
+    return st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.tuples(*(st.integers(0, v - 1) for v in range(1, n))),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] != e[1]), max_size=10),
+    ).map(lambda t: new_graph(n, list(enumerate(t[0], start=1)) + list(t[1]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_bfs_trees_is_the_one_distance_strategy(g):
+    for root in range(g.n):
+        dist = distances_from(g, root)
+        ecc = max(dist)
+        ss = generate_strategies(g, root, "bfs-trees")
+        assert len(ss.strategies) == 1
+        s = ss.strategies[0]
+        validate_strategy(g, s)
+        assert s.weight == {v: 2 ** (ecc - dist[v]) for v in range(g.n) if v != root}
+        report = lp_bound(g, ss)
+        assert report.lp_bound == report.ratio_bound == unit_weight(s) + 1
 
 
 def test_greedy_search_is_deterministic():
@@ -231,6 +254,10 @@ def test_weight_check_rejects_disconnected_graph():
 # ---------------------------------------------------------------------------
 # JSON round trip
 
+BROOM = deep_broom()
+BROOM_ENTRY = {"parent": {str(v): u for u, v in BROOM.edges()}}
+
+
 def test_json_round_trip(tmp_path):
     g = families.petersen()
     ss = generate_strategies(g, 0, "greedy-search")
@@ -263,8 +290,8 @@ def test_json_missing_fields_rejected():
     ({"parent": {"1": 0, "2": 1}, "weight": {"1": 1, "2": 1}}, "does not double"),
     ({"parent": {"3": 0}, "weight": {"3": 1}}, "not an edge"),
     ({"parent": {"3": 0}}, "not an edge"),
-    ({"parent": {"1": 0, "2": 1, "3": 2, "-1": 3}}, "not an edge"),
-    ({"parent": {}}, "at least one edge"),
+    ({"parent": {"1": 0, "2": 1, "3": 2, "-1": 3}}, "vertex -1 outside 0..4"),
+    ({"parent": {}}, "strategy has no edges"),
     ({"parent": {"1": "zero"}}, "of integers"),
     ({"parent": {"1": 0}, "weight": {"1": 1.5}}, "of integers"),
     ({"parent": {"one": 0}}, "non-integer vertex"),
@@ -278,11 +305,13 @@ def test_json_missing_fields_rejected():
     ({"parent": {"0_1": 0}}, "non-integer vertex"),
     ({"parent": {"1": 0}, "weight": {" 1": 1}}, "non-integer vertex"),
     ({"parent": {"1": 0, "01": 0}}, '"parent" names a vertex twice'),
+    (BROOM_ENTRY, "64-bit"),
 ])
 def test_json_invalid_entry_named_by_index(entry, problem):
     data = {"root": 0, "strategies": [{"parent": {"1": 0}}, entry]}
+    g = BROOM if entry is BROOM_ENTRY else families.path(5)
     with pytest.raises(StrategyError, match=f"strategy 1: .*{problem}"):
-        strategy_set_from_json(data, families.path(5))
+        strategy_set_from_json(data, g)
 
 
 @pytest.mark.parametrize("data,problem", [
