@@ -6,9 +6,11 @@ feasible from the start and no phase-one is needed.  make_linear_program
 scales each row and its right-hand side to integers once, by the LCM of
 their denominators, so for fractional input constraints holds the scaled
 rows and the dual has one multiplier per scaled row.  The tableau over
-them is pivoted fraction-free (Bareiss/Edmonds): the true tableau is
-the integer one divided by a running divisor D, the previous pivot, and
-every division in a pivot is exact.  Bland's smallest-index rule picks both
+them is condensed (dictionary form: one row per constraint over the
+nonbasic columns and the rhs, plus the cost row, with one label per
+nonbasic variable) and pivoted fraction-free (Bareiss/Edmonds): the true
+tableau is the integer one divided by a running divisor D, the previous
+pivot, and every division in a pivot is exact.  Bland's smallest-index rule picks both
 the entering and leaving variables, which rules out cycling and makes the
 pivot sequence reproducible; row scaling leaves it unchanged.
 
@@ -75,51 +77,33 @@ def _integer_row(values) -> tuple[list[int], int]:
 
 
 def solve_max(lp: LinearProgram, on_pivot=None) -> LpSolution:
-    """Primal simplex on an integer tableau; exact arithmetic throughout.
+    """Primal simplex on a condensed integer tableau; exact arithmetic throughout.
 
     on_pivot, when given, is called after each pivot with the pivot count,
     the entering variable, the leaving row and the objective value so far.
     """
     n = lp.num_vars
     m = len(lp.constraints)
-    # rows[i] = integer coefficients over structurals + slacks, then the rhs;
-    # the true tableau is every entry divided by the running divisor
-    rows = []
-    for i, (coeffs, rhs) in enumerate(lp.constraints):
-        slack = [0] * m
-        slack[i] = 1
-        rows.append([*coeffs, *slack, rhs])
+    # rows[i] = integer coefficients over the nonbasic variables, then the
+    # rhs; the true tableau is every entry divided by the running divisor
+    rows = [[*coeffs, rhs] for coeffs, rhs in lp.constraints]
     objective, obj_scale = _integer_row(lp.objective)
-    cost = objective + [0] * (m + 1)  # reduced costs, then minus the value
-    basis = list(range(n, n + m))
+    cost = objective + [0]  # reduced costs, then minus the value
+    nonbasic = list(range(n))  # the variable of each column
+    basis = list(range(n, n + m))  # the variable of each row
     divisor = 1
     pivots = 0
     while True:
-        entering = next((j for j in range(n + m) if cost[j] > 0), None)
-        if entering is None:
+        improving = [j for j in range(n) if cost[j] > 0]
+        if not improving:
             break
-        leaving = None
-        for i in range(m):
-            a = rows[i][entering]
-            if a > 0:
-                if leaving is None:
-                    leaving = i
-                    continue
-                # ratio rhs/a against the best one's, cross-multiplied
-                ratio = rows[i][-1] * rows[leaving][entering]
-                best = rows[leaving][-1] * a
-                if ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    leaving = i
+        column = min(improving, key=nonbasic.__getitem__)
+        leaving = _ratio_test(rows, basis, column)
         if leaving is None:
             return LpSolution("unbounded", None, None, pivots)
-        pivot_row = rows[leaving]
-        pivot = pivot_row[entering]
-        for i in range(m):
-            if i != leaving:
-                rows[i] = _eliminate(rows[i], pivot_row, pivot, entering, divisor)
-        cost = _eliminate(cost, pivot_row, pivot, entering, divisor)
-        divisor = pivot
-        basis[leaving] = entering
+        entering = nonbasic[column]
+        divisor = _pivot(rows, cost, leaving, column, divisor)
+        nonbasic[column], basis[leaving] = basis[leaving], entering
         pivots += 1
         if on_pivot is not None:
             on_pivot(pivots, entering, leaving, Fraction(-cost[-1], divisor * obj_scale))
@@ -127,16 +111,57 @@ def solve_max(lp: LinearProgram, on_pivot=None) -> LpSolution:
     for i, b in enumerate(basis):
         if b < n:
             point[b] = Fraction(rows[i][-1], divisor)
-    # slack i's reduced cost is minus row i's multiplier
-    dual = tuple(Fraction(-cost[n + i], divisor * obj_scale) for i in range(m))
+    # a nonbasic slack's reduced cost is minus its row's multiplier, and a
+    # basic slack's multiplier is 0
+    dual = [Fraction(0)] * m
+    for j, v in enumerate(nonbasic):
+        if v >= n:
+            dual[v - n] = Fraction(-cost[j], divisor * obj_scale)
     return LpSolution("optimal", Fraction(-cost[-1], divisor * obj_scale),
-                      tuple(point), pivots, dual)
+                      tuple(point), pivots, tuple(dual))
 
 
-def _eliminate(row, pivot_row, pivot, entering, divisor):
-    """(pivot * row - row[entering] * pivot_row) / divisor; the division is exact."""
-    factor = row[entering]
-    return [(pivot * x - factor * y) // divisor for x, y in zip(row, pivot_row)]
+def _ratio_test(rows, basis, column) -> int | None:
+    """Bland's leaving row: least rhs/a over a > 0, ties to the smallest basic index."""
+    leaving = None
+    for i, row in enumerate(rows):
+        a = row[column]
+        if a > 0:
+            if leaving is None:
+                leaving = i
+                continue
+            # ratio rhs/a against the best one's, cross-multiplied
+            ratio = row[-1] * rows[leaving][column]
+            best = rows[leaving][-1] * a
+            if ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                leaving = i
+    return leaving
+
+
+def _pivot(rows, cost, leaving, column, divisor) -> int:
+    """Condensed fraction-free pivot on rows[leaving][column]; the new divisor.
+
+    Every other row, the cost row included, becomes
+    (p * row - row[column] * pivot_row) / divisor, an exact division, except
+    that its column entry becomes -row[column]; the pivot row keeps its
+    entries except the column one, which becomes the old divisor.
+    """
+    pivot_row = rows[leaving]
+    p = pivot_row[column]
+    for i, row in enumerate(rows):
+        if i != leaving:
+            rows[i] = _eliminate(row, pivot_row, p, column, divisor)
+    cost[:] = _eliminate(cost, pivot_row, p, column, divisor)
+    pivot_row[column] = divisor
+    return p
+
+
+def _eliminate(row, pivot_row, pivot, column, divisor):
+    """(pivot * row - row[column] * pivot_row) / divisor, with -row[column] in the column."""
+    factor = row[column]
+    new = [(pivot * x - factor * y) // divisor for x, y in zip(row, pivot_row)]
+    new[column] = -factor
+    return new
 
 
 def check_certificate(lp: LinearProgram, solution: LpSolution) -> None:
