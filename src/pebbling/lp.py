@@ -5,19 +5,35 @@ Maximizes c.x subject to Ax <= b, x >= 0 with b >= 0, so the slack basis is
 feasible from the start and no phase-one is needed.  make_linear_program
 scales each row and its right-hand side to integers once, by the LCM of
 their denominators, so for fractional input constraints holds the scaled
-rows and the dual has one multiplier per scaled row.  The tableau over
-them is condensed (dictionary form: one row per constraint over the
-nonbasic columns and the rhs, plus the cost row, with one label per
-nonbasic variable) and pivoted fraction-free (Bareiss/Edmonds): the true
-tableau is the integer one divided by a running divisor D, the previous
-pivot, and every division in a pivot is exact.  Bland's smallest-index rule picks both
-the entering and leaving variables, which rules out cycling and makes the
-pivot sequence reproducible; row scaling leaves it unchanged.
+rows and the dual has one multiplier per scaled row.
 
-An optimal solution carries the dual multipliers read off the final slack
-costs.  check_certificate verifies, in integers and without trusting the
-pivoting, that they prove the value optimal: y >= 0, y.A >= c column by
-column, y.b = c.x, and the point is feasible.
+The tableau is condensed (the dictionary form; Chvatal, Linear Programming,
+1983): one row per constraint over the nonbasic columns and the rhs, plus
+the cost row, with one variable label per column and per row.  It is
+pivoted fraction-free (Bareiss/Edmonds): the true tableau is the integer
+one divided by a running divisor D, the previous pivot, and every division
+in a pivot is exact.  A pivot on (r, s) with p = T[r][s] turns every other
+row i, the cost row included, into (p*T[i][j] - T[i][s]*T[r][j]) / D for
+j != s and -T[i][s] in column s; the pivot row keeps its entries except
+T[r][s], which becomes D; then D = p and the two variables swap labels.
+The full tableau's basic columns are D times unit vectors, so leaving them
+out changes no entry.
+
+Pivot rule: greatest improvement.  Each column with a positive reduced
+cost takes its leaving row from Bland's ratio test (least rhs/a over a > 0,
+ties to the smallest basic variable); the column whose step raises the
+objective most, cost * rhs / a, enters, ties to the smallest variable.  It
+cannot cycle.  A cycle keeps the objective constant, so all its pivots are
+degenerate; a degenerate pivot was the best step, so every step then gains
+0 and the tie rule picks the least improving variable, which is Bland's
+choice.  A cycle would thus consist of Bland pivots only, and Bland's rule
+never cycles.  Row scaling leaves the pivot sequence unchanged.
+
+An optimal solution carries the dual multipliers read off the cost entries
+of the nonbasic slack columns (a basic slack's multiplier is 0).
+check_certificate verifies, in integers and without trusting the pivoting,
+that they prove the value optimal: y >= 0, y.A >= c column by column,
+y.b = c.x, and the point is feasible.
 """
 
 from __future__ import annotations
@@ -94,13 +110,23 @@ def solve_max(lp: LinearProgram, on_pivot=None) -> LpSolution:
     divisor = 1
     pivots = 0
     while True:
-        improving = [j for j in range(n) if cost[j] > 0]
-        if not improving:
+        column = leaving = None
+        for j in range(n):
+            c = cost[j]
+            if c <= 0:
+                continue
+            r = _ratio_test(rows, basis, j)
+            if r is None:
+                return LpSolution("unbounded", None, None, pivots)
+            if column is not None:
+                # gain c * rhs / a against the best one's, cross-multiplied
+                gain = c * rows[r][-1] * rows[leaving][column]
+                best = cost[column] * rows[leaving][-1] * rows[r][j]
+                if gain < best or (gain == best and nonbasic[j] > nonbasic[column]):
+                    continue
+            column, leaving = j, r
+        if column is None:
             break
-        column = min(improving, key=nonbasic.__getitem__)
-        leaving = _ratio_test(rows, basis, column)
-        if leaving is None:
-            return LpSolution("unbounded", None, None, pivots)
         entering = nonbasic[column]
         divisor = _pivot(rows, cost, leaving, column, divisor)
         nonbasic[column], basis[leaving] = basis[leaving], entering

@@ -235,11 +235,10 @@ def test_lp_verbose_prints_each_pivot(petersen_file, tmp_path, capsys):
                        "--strategies", str(ss_path), "--verbose")
     assert code == 0
     assert out.splitlines() == [
-        "pivot 1: enter x0, leave row 0, value 3",
-        "pivot 2: enter x1, leave row 0, value 6",
-        "pivot 3: enter x2, leave row 1, value 8",
-        "pivot 4: enter x4, leave row 2, value 9",
-        "optimal value 9 (bound 10) after 4 pivots",
+        "pivot 1: enter x1, leave row 0, value 6",
+        "pivot 2: enter x2, leave row 1, value 8",
+        "pivot 3: enter x4, leave row 2, value 9",
+        "optimal value 9 (bound 10) after 3 pivots",
     ]
 
 
@@ -273,7 +272,7 @@ def test_lp_json_on_the_stored_petersen_set_is_pinned(petersen_file, capsys):
                        "--strategies", str(data), "--json")
     assert code == 0
     assert json.loads(out) == {
-        "status": "optimal", "value": "9/1", "bound": 10, "pivots": 4,
+        "status": "optimal", "value": "9/1", "bound": 10, "pivots": 3,
         "point": ["0/1", "4/1", "4/1", "0/1", "1/1", "0/1", "0/1", "0/1", "0/1"],
         "dual": ["1/4", "1/4", "1/4"],
     }

@@ -95,8 +95,9 @@ def _fractions(low, high):
 @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
     st.lists(_fractions(-4, 6), min_size=k, max_size=k),
     st.lists(st.tuples(
-        st.lists(_fractions(0, 5), min_size=k, max_size=k),
-        _fractions(0, 9)), min_size=0, max_size=3))))
+        st.lists(_fractions(-3, 5), min_size=k, max_size=k),
+        # zero right-hand sides make degenerate vertices
+        st.one_of(st.just(0), _fractions(0, 9))), min_size=0, max_size=3))))
 def test_random_bounded_lps_match_oracle(data):
     objective, extra_rows = data
     k = len(objective)
@@ -105,6 +106,26 @@ def test_random_bounded_lps_match_oracle(data):
     solution = solve_max(lp)
     assert solution.status == "optimal"
     assert solution.value == basic_feasible_maximum(lp)
+    check_certificate(lp, solution)
+
+
+def test_every_first_step_degenerate_enters_the_least_variable():
+    # both improving columns gain 0 at the start: the tie rule is Bland's, so
+    # x0 enters, where a largest-cost rule would enter x1
+    lp = make_linear_program([1, 2], [([1, -1], 0), ([-1, 1], 0), ([1, 1], 2)])
+    seen = []
+    solution = solve_max(lp, on_pivot=lambda *pivot: seen.append(pivot))
+    assert seen[0][:2] == (1, 0)
+    assert solution.value == 3
+    check_certificate(lp, solution)
+
+
+def test_beales_cycling_example_terminates():
+    # Beale (1955): cycles under the largest-cost rule with the smallest-row tie
+    lp = _simplex_suite()[-1]
+    solution = solve_max(lp)
+    assert solution.value == Fraction(5, 4)
+    assert solution.pivot_count == 2
     check_certificate(lp, solution)
 
 
@@ -207,13 +228,14 @@ def test_petersen_relaxation_value():
 
 
 def test_bruhat4_root0_pinned():
-    # value, pivot count and point as the Fraction-tableau engine gave them
+    # value and point as the Fraction-tableau engine gave them, and the
+    # greatest-improvement rule's pivot count (Bland's rule took 158)
     g = families.bruhat(4)
     lp = build_relaxation(g, generate_strategies(g, 0, "greedy-search"))
     solution = solve_max(lp)
     assert (lp.num_vars, len(lp.constraints)) == (23, 47)
     assert solution.value == Fraction(135, 2)
-    assert solution.pivot_count == 158
+    assert solution.pivot_count == 38
     point = [0] * 23
     point[4], point[13], point[22] = 1, 1, 45
     point[16], point[20], point[21] = Fraction(11, 2), Fraction(19, 2), Fraction(11, 2)
