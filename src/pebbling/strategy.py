@@ -21,6 +21,9 @@ from .solver import _bounded_compositions, _level_space, is_solvable
 MAX_DEPTH = 62  # bounds each weight by 2^61; the sum of the weights is checked on its own
 GENERATION_METHODS = ("greedy-search", "all-paths", "bfs-trees")
 _WEIGHT_LIMIT = (1 << 63) - 1
+_OVER_WEIGHT_LIMIT = "unit weight over the 64-bit limit"
+# the methods that read each generation option
+_OPTION_METHODS = {"maxlen": ("all-paths", "greedy-search"), "budget": ("greedy-search",)}
 
 
 class StrategyError(ValueError):
@@ -99,7 +102,7 @@ def strategy_from_tree(g: Graph, root: int, parent: dict[int, int]) -> Strategy:
         raise StrategyError(f"strategy depth {height} over the limit of {MAX_DEPTH}")
     weight = {v: 1 << (height - d) for v, d in depth.items() if v != root}
     if sum(weight.values()) > _WEIGHT_LIMIT:
-        raise StrategyError("unit weight over the 64-bit limit")
+        raise StrategyError(_OVER_WEIGHT_LIMIT)
     return Strategy(root, dict(parent), weight)
 
 
@@ -127,7 +130,7 @@ def validate_strategy(g: Graph, s: Strategy) -> None:
         if w <= 0:
             raise StrategyError(f"vertex {v} has nonpositive weight {w}")
     if sum(s.weight.values()) > _WEIGHT_LIMIT:
-        raise StrategyError("unit weight over the 64-bit limit")
+        raise StrategyError(_OVER_WEIGHT_LIMIT)
     for v, p in sorted(s.parent.items()):
         if p != s.root and s.weight[p] != 2 * s.weight[v]:
             raise StrategyError(f"weight does not double from {v} to its parent {p}")
@@ -319,13 +322,19 @@ def _greedy_descent(n: int, root: int, pool: list[Strategy], start: list[int]):
 
 
 def check_generation_options(method: str, maxlen: int | None, budget: int | None) -> None:
-    """Raise StrategyError for an unknown method or a maxlen or budget below 1."""
+    """Raise StrategyError for an unknown method, a maxlen or budget below 1,
+    or a maxlen or budget the method does not read (bfs-trees reads neither,
+    all-paths no budget)."""
     if method not in GENERATION_METHODS:
         raise StrategyError(f"unknown generation method {method!r}; "
                             f"expected one of {', '.join(GENERATION_METHODS)}")
-    for name, value in (("maxlen", maxlen), ("budget", budget)):
+    options = (("maxlen", maxlen), ("budget", budget))
+    for name, value in options:
         if value is not None and value < 1:
             raise StrategyError(f"{name} must be positive, got {value}")
+    for name, value in options:
+        if value is not None and method not in _OPTION_METHODS[name]:
+            raise StrategyError(f"{method} takes no {name}")
 
 
 def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
@@ -336,11 +345,12 @@ def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
     all-paths: every simple path from the root with at most maxlen edges
     (default: the root's eccentricity).  bfs-trees: one breadth-first
     spanning tree, the distance strategy with weights 2^(ecc - dist(v, root));
-    every breadth-first tree has these weights, so one tree is the whole set.
+    every breadth-first tree has these weights, so one tree is the whole set,
+    and StrategyError is raised when that tree is over the unit-weight limit.
     greedy-search: pools at most budget (default 256) paths, spanning trees
-    and depth-capped branch subtrees, then keeps the subset minimizing total
-    weight over minimum coverage.  Every method is deterministic: seed is
-    accepted and ignored.
+    and depth-capped branch subtrees, skipping any over the unit-weight limit,
+    then keeps the subset minimizing total weight over minimum coverage.
+    Every method is deterministic: seed is accepted and ignored.
 
     Raises StrategyError for options check_generation_options rejects,
     GraphError for a disconnected graph, and CoverageError if the produced
@@ -375,8 +385,17 @@ def _greedy_search(g: Graph, root: int, ecc: int, maxlen: int | None,
     index_of: dict[tuple, int] = {}
 
     def push(parent) -> int | None:
-        """Pool the strategy unless an equal-weight one is present; give its index."""
-        s = strategy_from_tree(g, root, parent)
+        """Pool the strategy unless an equal-weight one is present; give its index.
+
+        A tree over the unit-weight limit is skipped: the other candidates
+        may still cover its vertices.
+        """
+        try:
+            s = strategy_from_tree(g, root, parent)
+        except StrategyError as exc:
+            if str(exc) != _OVER_WEIGHT_LIMIT:
+                raise
+            return None
         key = tuple(sorted(s.weight.items()))
         if key in index_of:
             return index_of[key]

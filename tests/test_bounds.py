@@ -332,6 +332,7 @@ def test_a_failing_representative_error_is_copied_to_its_members(monkeypatch):
     ({"budget": 0}, "budget must be positive, got 0"),
     ({"maxlen": -1}, "maxlen must be positive, got -1"),
     ({"gen": "magic"}, "unknown generation method 'magic'"),
+    ({"gen": "bfs-trees", "budget": 3}, "bfs-trees takes no budget"),
 ])
 def test_bad_generation_options_raise_once(options, problem, monkeypatch):
     generated = _counting(monkeypatch, bounds, "generate_strategies")

@@ -604,6 +604,21 @@ def test_generation_limits_must_be_positive(option, value, path4_file, capsys):
     assert f"{option[-1]}: must be positive, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb,root", [("strategies", ["--root", "0"]), ("bound", [])],
+                         ids=["strategies", "bound"])
+@pytest.mark.parametrize("method,option", [
+    ("bfs-trees", "--maxlen"), ("bfs-trees", "--budget"), ("all-paths", "--budget"),
+])
+def test_generation_option_the_method_does_not_read_is_one_error(
+        verb, root, method, option, path4_file, capsys):
+    flag = "--method" if verb == "strategies" else "--gen"
+    code, out, err = run(capsys, verb, "--graph", path4_file, *root,
+                         flag, method, option, "3")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {method} takes no {option[2:]}\n"
+
+
 # -- python -m pebbling ---------------------------------------------------------
 
 def test_module_entry_point_runs_the_cli():

@@ -342,6 +342,28 @@ def test_generation_limits_must_be_positive(method, option, value):
         generate_strategies(families.path(4), 0, method, **{option: value})
 
 
+@pytest.mark.parametrize("method,option", [
+    ("bfs-trees", "maxlen"), ("bfs-trees", "budget"), ("all-paths", "budget"),
+])
+def test_generation_option_the_method_does_not_read_is_an_error(method, option):
+    with pytest.raises(StrategyError, match=f"^{method} takes no {option}$"):
+        generate_strategies(families.path(4), 0, method, **{option: 3})
+
+
+def test_greedy_search_skips_trees_over_the_unit_weight_limit():
+    # BROOM's spanning trees hang ten leaves at weight 2^61 over a path of
+    # weight 2^62 - 1; its paths and single-branch trees stay under the limit
+    ss = generate_strategies(BROOM, 0, "greedy-search")
+    assert len(ss.strategies) == 11
+    for s in ss.strategies:
+        validate_strategy(BROOM, s)
+    report = lp_bound(BROOM, ss)
+    assert report.ratio_bound == report.lp_bound == 2 ** 62 + 10
+    # bfs-trees is the one spanning tree, so it has nothing else to offer
+    with pytest.raises(StrategyError, match="^unit weight over the 64-bit limit$"):
+        generate_strategies(BROOM, 0, "bfs-trees")
+
+
 @pytest.mark.parametrize("g,sizes,digest", [
     (families.petersen(), [3] * 10,
      "0d1f31a3761861a1342eb67c76e1d4064665907d701244408be158a95f27f40a"),
