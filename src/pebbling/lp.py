@@ -67,17 +67,25 @@ class LpSolution:
 
 
 def make_linear_program(objective, constraints) -> LinearProgram:
-    """Validate shapes and signs; scale each row and its rhs to integers."""
+    """Validate shapes and signs; scale each row and its rhs to integers.
+
+    A row of ints, rhs included, is stored as given.
+    """
     obj = tuple(Fraction(c) for c in objective)
     rows = []
-    for i, (coeffs, rhs) in enumerate(constraints):
-        values = [c if isinstance(c, int) else Fraction(c) for c in (*coeffs, rhs)]
-        *row, rhs = _integer_row(values)[0]
+    for i, (coeffs, given) in enumerate(constraints):
+        row = tuple(coeffs)
+        if type(given) is int and all(type(c) is int for c in row):
+            rhs = given
+        else:
+            values = [c if isinstance(c, int) else Fraction(c) for c in (*row, given)]
+            *row, rhs = _integer_row(values)[0]
+            row = tuple(row)
         if len(row) != len(obj):
             raise ValueError(f"constraint {i} has {len(row)} coefficients, expected {len(obj)}")
         if rhs < 0:
-            raise ValueError(f"constraint {i} has negative right-hand side {values[-1]}")
-        rows.append((tuple(row), rhs))
+            raise ValueError(f"constraint {i} has negative right-hand side {Fraction(given)}")
+        rows.append((row, rhs))
     return LinearProgram(len(obj), obj, tuple(rows))
 
 
