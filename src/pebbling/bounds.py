@@ -4,7 +4,7 @@ Summing every strategy's constraint shows an unsolvable configuration holds
 fewer than (total unit weight) / (minimum coverage) pebbles, so the floor of
 that ratio plus one bounds the rooted pebbling number.  The LP relaxation
 optimizes the same constraints exactly and is never looser; every LP value
-reported here has passed the exact dual-certificate check.
+reported here has passed the exact dual-certificate check in certify.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import Graph, GraphError, is_connected, root_orbits
-from .lp import (LinearProgram, LpSolution, build_relaxation, check_certificate,
-                 fraction_text, solve_max)
+from .lp import (LinearProgram, LpSolution, check_certificate, fraction_text,
+                 make_linear_program, solve_max)
 from .strategy import (CoverageError, Strategy, StrategyError, StrategySet,
                        check_generation_options, coverage, generate_strategies,
                        unit_weight, validate_strategy)
@@ -88,29 +88,48 @@ def ratio_report(g: Graph, ss: StrategySet) -> BoundReport:
     return BoundReport(ss.root, kappa, chi, aggregate_bound(kappa, chi))
 
 
-def lp_bound(g: Graph, ss: StrategySet) -> BoundReport:
-    """The ratio report extended with the exact LP optimum, floored + 1.
+def build_relaxation(g: Graph, ss: StrategySet) -> LinearProgram:
+    """LP whose optimum bounds every unsolvable configuration's size at ss.root.
 
-    The optimum's dual certificate is checked before it is reported, and a
-    failed check raises CertificateError.  Covering sets give every column a
-    positive entry, so the relaxation is never unbounded; the check would
-    reject an unbounded result too.
+    One variable per non-root vertex in ascending order, objective all ones,
+    and one constraint per strategy: the weighted count of a configuration
+    may not exceed the strategy's unit weight.
     """
-    return _solved_lp_report(g, ss)[0]
+    if not 0 <= ss.root < g.n:
+        raise GraphError(f"root {ss.root} outside 0..{g.n - 1}")
+    variables = [v for v in range(g.n) if v != ss.root]
+    position = {v: i for i, v in enumerate(variables)}
+    constraints = []
+    for s in ss.strategies:
+        row = [0] * len(variables)
+        for v, w in s.weight.items():
+            row[position[v]] = w
+        constraints.append((row, unit_weight(s)))
+    return make_linear_program([1] * len(variables), constraints)
 
 
-def _solved_lp_report(g: Graph, ss: StrategySet) -> tuple[BoundReport, LpSolution]:
-    """lp_bound's report together with the optimum it certifies."""
+def certify(g: Graph, ss: StrategySet, solution: LpSolution | None = None,
+            on_pivot=None) -> tuple[BoundReport, LpSolution]:
+    """The ratio report at ss.root with its LP fields, and the optimum behind them.
+
+    Builds the relaxation of ss and solves it (on_pivot goes to solve_max)
+    unless an optimum found elsewhere is given, then checks the optimum's
+    dual certificate against it: CertificateError if that fails.  An
+    uncovering set raises CoverageError first, so the LP is never unbounded.
+    """
     report = ratio_report(g, ss)
     lp = build_relaxation(g, ss)
-    solution = solve_max(lp)
-    return _with_checked_lp(report, lp, solution), solution
-
-
-def _with_checked_lp(report: BoundReport, lp: LinearProgram, solution: LpSolution) -> BoundReport:
+    if solution is None:
+        solution = solve_max(lp, on_pivot)
     check_certificate(lp, solution)
     z = solution.value
-    return replace(report, lp_value=z, lp_bound=math.floor(z) + 1, lp_dual=solution.dual)
+    return replace(report, lp_value=z, lp_bound=math.floor(z) + 1,
+                   lp_dual=solution.dual), solution
+
+
+def lp_bound(g: Graph, ss: StrategySet) -> BoundReport:
+    """The ratio report extended with the certified LP optimum, floored + 1."""
+    return certify(g, ss)[0]
 
 
 def _mapped_strategies(g: Graph, ss: StrategySet, sigma) -> StrategySet:
@@ -181,7 +200,7 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
         try:
             ss = generate_strategies(g, rep, gen, maxlen=maxlen, budget=budget)
             if method == "lp":
-                report, solution = _solved_lp_report(g, ss)
+                report, solution = certify(g, ss)
             else:
                 report, solution = ratio_report(g, ss), None
         except ValueError as exc:
@@ -192,11 +211,8 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
         for root, sigma in orbit.members:
             try:
                 mapped = _mapped_strategies(g, ss, sigma)
-                report = ratio_report(g, mapped)
-                if solution is not None:
-                    report = _with_checked_lp(report, build_relaxation(g, mapped),
-                                              _mapped_solution(g.n, rep, root, solution, sigma))
-                per_root[root] = report
+                per_root[root] = ratio_report(g, mapped) if solution is None else \
+                    certify(g, mapped, _mapped_solution(g.n, rep, root, solution, sigma))[0]
             except ValueError as exc:
                 failures[root] = str(exc)
     overall = None

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 from . import bounds, families, treepi, verify
 from .graph import GraphError, decimal_int, read_edge_list, to_edge_list, write_edge_list
-from .lp import build_relaxation, check_certificate, fraction_text, solve_max
+from .lp import fraction_text
 from .solver import (
     DEFAULT_MAX_CONFIGS,
     ConfigFormatError,
@@ -162,18 +161,22 @@ def _report_text(report: bounds.BoundReport) -> str:
 
 
 def _cmd_bound(args) -> int:
+    given = [f"--{o}" for o in ("gen", "maxlen", "budget") if getattr(args, o) is not None]
+    if args.strategies and given:
+        raise StrategyError(f"--strategies takes no {', '.join(given)}")
     g = read_edge_list(args.graph)
+    gen = args.gen or "greedy-search"
     if args.strategies or args.root is not None:
         if args.strategies:
             ss = _load_strategies(args, g)
         else:
-            ss = generate_strategies(g, args.root, args.gen, maxlen=args.maxlen,
+            ss = generate_strategies(g, args.root, gen, maxlen=args.maxlen,
                                      budget=args.budget)
         report = bounds.lp_bound(g, ss) if args.method == "lp" \
             else bounds.ratio_report(g, ss)
         _emit(args, report.to_json_dict(), _report_text(report))
         return 0
-    graph_bounds = bounds.bound_graph(g, method=args.method, gen=args.gen,
+    graph_bounds = bounds.bound_graph(g, method=args.method, gen=gen,
                                       maxlen=args.maxlen, budget=args.budget)
     if args.json:
         print(json.dumps(graph_bounds.to_json_dict(g), indent=2))
@@ -193,23 +196,16 @@ def _print_pivot(count, entering, leaving, value) -> None:
 def _cmd_lp(args) -> int:
     g = read_edge_list(args.graph)
     ss = _load_strategies(args, g)
-    lp = build_relaxation(g, ss)
-    solution = solve_max(lp, on_pivot=_print_pivot if args.verbose else None)
-    if solution.status != "optimal":
-        _emit(args, {"status": solution.status, "pivots": solution.pivot_count},
-              f"{solution.status} after {solution.pivot_count} pivots")
-        return 0
-    check_certificate(lp, solution)
-    bound = math.floor(solution.value) + 1
+    report, solution = bounds.certify(g, ss, on_pivot=_print_pivot if args.verbose else None)
     payload = {
         "status": "optimal",
-        "value": fraction_text(solution.value),
-        "bound": bound,
+        "value": fraction_text(report.lp_value),
+        "bound": report.lp_bound,
         "pivots": solution.pivot_count,
         "point": [fraction_text(x) for x in solution.point],
-        "dual": [fraction_text(y) for y in solution.dual],
+        "dual": [fraction_text(y) for y in report.lp_dual],
     }
-    _emit(args, payload, f"optimal value {solution.value} (bound {bound}) "
+    _emit(args, payload, f"optimal value {report.lp_value} (bound {report.lp_bound}) "
                          f"after {solution.pivot_count} pivots")
     return 0
 
@@ -280,10 +276,10 @@ def _add_max_configs_arg(sub) -> None:
                      help="cap on configurations per enumerated level")
 
 
-def _add_gen_args(sub, flag: str) -> None:
+def _add_gen_args(sub, flag: str, default: str | None) -> None:
     """Strategy generation options; bound names the method --gen, strategies --method."""
-    sub.add_argument(flag, default="greedy-search", choices=GENERATION_METHODS,
-                     help="strategy generation method")
+    sub.add_argument(flag, default=default, choices=GENERATION_METHODS,
+                     help="strategy generation method (default greedy-search)")
     sub.add_argument("--maxlen", type=_positive_int, default=None, help="path length cap")
     sub.add_argument("--budget", type=_positive_int, default=None,
                      help="greedy-search candidate pool cap")
@@ -326,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_verb("strategies", "generate a covering strategy set")
     _add_graph_arg(p)
     p.add_argument("--root", type=_int, required=True)
-    _add_gen_args(p, "--method")
+    _add_gen_args(p, "--method", "greedy-search")
     p.add_argument("--out", default=None, help="write the strategy set JSON here")
     p.set_defaults(func=_cmd_strategies)
 
@@ -335,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=_int, default=None)
     p.add_argument("--strategies", default=None, help="strategy set JSON file")
     p.add_argument("--method", default="lp", choices=("ratio", "lp"))
-    _add_gen_args(p, "--gen")
+    # None tells a --gen given with --strategies from the default
+    _add_gen_args(p, "--gen", None)
     p.set_defaults(func=_cmd_bound)
 
     p = add_verb("lp", "solve the strategy-set linear relaxation")

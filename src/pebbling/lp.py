@@ -1,5 +1,4 @@
-"""Fraction-free integer simplex with an exact dual certificate, plus the
-strategy relaxation.
+"""Fraction-free integer simplex with an exact dual certificate.
 
 Maximizes c.x subject to Ax <= b, x >= 0 with b >= 0, so the slack basis is
 feasible from the start and no phase-one is needed.  make_linear_program
@@ -41,9 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .graph import Graph, GraphError
-from .strategy import StrategySet, unit_weight
 
 
 class CertificateError(ValueError):
@@ -237,24 +233,3 @@ def check_certificate(lp: LinearProgram, solution: LpSolution) -> None:
     if sum(u * b for u, (_, b) in zip(ys, lp.constraints)) * z.denominator \
             != z.numerator * y_den:
         raise CertificateError(f"dual objective is not the value {z}")
-
-
-def build_relaxation(g: Graph, ss: StrategySet) -> LinearProgram:
-    """LP whose optimum bounds every unsolvable configuration's size at ss.root.
-
-    One variable per non-root vertex in ascending order, objective all ones,
-    and one constraint per strategy: the weighted count of a configuration
-    may not exceed the strategy's unit weight.
-    """
-    if not 0 <= ss.root < g.n:
-        raise GraphError(f"root {ss.root} outside 0..{g.n - 1}")
-    variables = [v for v in range(g.n) if v != ss.root]
-    position = {v: i for i, v in enumerate(variables)}
-    objective = [1] * len(variables)
-    constraints = []
-    for s in ss.strategies:
-        row = [0] * len(variables)
-        for v, w in s.weight.items():
-            row[position[v]] = w
-        constraints.append((row, unit_weight(s)))
-    return make_linear_program(objective, constraints)

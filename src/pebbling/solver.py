@@ -62,9 +62,9 @@ class SolveResult:
 
     explored counts the configurations the depth-first search visited; 0
     means the answer came without a search: from a pebble on the root or a
-    vertex at its threshold, from the push toward some target, or, on a
-    tree, from the failed push toward the root (the tree rule), which proves
-    the configuration unsolvable.
+    vertex at its threshold or from the push toward some target, which prove
+    the configuration solvable, or from the tree rule (on a tree, the failed
+    push toward the root) or the potential rule, which prove it unsolvable.
     """
 
     solvable: bool
@@ -148,6 +148,9 @@ class Geometry(NamedTuple):
     step toward the root first.  Neither the root nor a vertex it cannot
     reach is a source: the root is empty in every searched state, and
     pebbles off its component never reach it.
+
+    potential[v] = 2^(e - dist(v, root)) on the root's component, e its
+    largest distance, and 0 off it; unit = 2^e, the root's own potential.
     """
 
     dist: tuple[int | None, ...]
@@ -156,6 +159,8 @@ class Geometry(NamedTuple):
     moves: tuple[tuple[int, tuple[int, ...]], ...]
     tree: bool
     pushes: tuple[tuple[Move, ...], ...]
+    potential: tuple[int, ...]
+    unit: int
 
 
 def _push_order(g: Graph, t: int, component) -> tuple[Move, ...]:
@@ -177,7 +182,9 @@ def _root_geometry(g: Graph, root: int) -> Geometry:
     step = dict(pushes[0])
     moves = tuple((u, tuple(sorted(g.adj[u], key=lambda v: (dist[v], v)))) for u in step)
     chains = tuple(tuple(_chain_runs(v, d or 0, step)) for v, d in enumerate(dist))
-    return Geometry(tuple(dist), threshold, chains, moves, tree, pushes)
+    ecc = max(dist[v] for v in component)
+    potential = tuple(0 if d is None else 1 << (ecc - d) for d in dist)
+    return Geometry(tuple(dist), threshold, chains, moves, tree, pushes, potential, 1 << ecc)
 
 
 def _chain_runs(v, d: int, step) -> list[Run]:
@@ -220,6 +227,11 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
       pebble sent away could only come back over the same edge, a cycle the
       No-Cycle Lemma rules out), so the push toward the root is optimal play
       and its failure proves counts unsolvable.
+    - The potential rule: a move from u to a neighbor w changes the sum over
+      v of c(v) / 2^dist(v, root) by -2 / 2^dist(u) + 1 / 2^dist(w) <= 0, as
+      dist(w) >= dist(u) - 1, and a pebble on the root needs the sum to be
+      at least 1.  So counts is unsolvable when the sum of c(v) *
+      potential[v], the same sum times 2^e, is below unit.
 
     Otherwise a depth-first search with a visited-configuration memo starts
     from counts; it raises SearchCapError once it has visited more than
@@ -238,6 +250,8 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
                 if pushed[v] >= threshold[v]:
                     return runs, 0
     if geometry.tree:
+        return None, 0
+    if sum(c * w for c, w in zip(counts, geometry.potential)) < geometry.unit:
         return None, 0
     table = geometry.moves
     cap = DEFAULT_MAX_STATES

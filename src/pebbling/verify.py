@@ -18,14 +18,7 @@ from typing import Callable
 
 from . import bounds, families, treepi
 from .graph import Graph
-from .lp import (
-    CertificateError,
-    LinearProgram,
-    build_relaxation,
-    check_certificate,
-    make_linear_program,
-    solve_max,
-)
+from .lp import CertificateError, LinearProgram, check_certificate, make_linear_program, solve_max
 from .solver import is_solvable, pebbling_number, pebbling_number_max
 from .strategy import (
     GENERATION_METHODS,
@@ -242,11 +235,11 @@ def _check_bruhat_bound():
     if report.failures:
         return False, f"coverage failures at roots {sorted(report.failures)}"
     b = report.overall_bound
-    if b is None or b > 80:
-        return False, f"bound {b} misses the target of 80"
+    if b is None or b > 68:
+        return False, f"bound {b} misses the target of 68"
     grade = ("matching the best hand-built strategy sets (66)" if b <= 66
              else "the best hand-built strategy sets reach 66")
-    return True, f"bound {b} <= 80 on all 24 roots; {grade}"
+    return True, f"bound {b} <= 68 on all 24 roots; {grade}"
 
 
 def _check_soundness_sweep():
@@ -339,15 +332,12 @@ def _check_simplex_oracle():
         except CertificateError as exc:
             return False, f"suite LP {i}: {exc}"
     pete = families.petersen()
-    ss = generate_strategies(pete, 0, "greedy-search")
-    lp = build_relaxation(pete, ss)
-    solution = solve_max(lp)
-    if solution.value != 9:
-        return False, f"petersen relaxation optimum {solution.value} != 9"
     try:
-        check_certificate(lp, solution)
+        report, _ = bounds.certify(pete, generate_strategies(pete, 0, "greedy-search"))
     except CertificateError as exc:
         return False, f"petersen relaxation: {exc}"
+    if report.lp_value != 9:
+        return False, f"petersen relaxation optimum {report.lp_value} != 9"
     return True, "simplex equals the basic-feasible-point oracle on the whole suite"
 
 

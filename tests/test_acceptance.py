@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from pebbling import verify
+from pebbling import bounds, verify
 from pebbling.lp import solve_max
 
 
@@ -37,7 +37,7 @@ def test_simplex_oracle_certifies_the_petersen_optimum(monkeypatch):
             return solution
         return replace(solution, dual=(solution.dual[0] + 1, *solution.dual[1:]))
 
-    monkeypatch.setattr(verify, "solve_max", tampered)
+    monkeypatch.setattr(bounds, "solve_max", tampered)
     ok, detail = verify._check_simplex_oracle()
     assert not ok
     assert detail.startswith("petersen relaxation: dual objective is not the value 9")

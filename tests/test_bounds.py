@@ -10,11 +10,11 @@ import pytest
 from conftest import small_catalog
 from pebbling import families, graph
 from pebbling.bounds import (BoundReport, aggregate_bound, bound_graph,
-                             lp_bound, min_coverage, ratio_report,
+                             build_relaxation, lp_bound, min_coverage, ratio_report,
                              total_unit_weight)
 from pebbling import bounds
 from pebbling.graph import GraphError, Orbit, new_graph, root_orbits
-from pebbling.lp import CertificateError, build_relaxation, check_certificate, solve_max
+from pebbling.lp import CertificateError, check_certificate, solve_max
 from pebbling.solver import pebbling_number, pebbling_number_max
 from pebbling.strategy import (GENERATION_METHODS, CoverageError, StrategyError,
                                StrategySet, generate_strategies, strategy_from_path,

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from conftest import deep_broom
-from pebbling import cli, solver, verify
+from pebbling import bounds, cli, solver, verify
 from pebbling.cli import main
 from pebbling.graph import read_edge_list, write_edge_list
-from pebbling.lp import LpSolution, build_relaxation, check_certificate, solve_max
+from pebbling.bounds import build_relaxation
+from pebbling.lp import LpSolution, check_certificate, solve_max
 from pebbling.strategy import load_strategy_set
 from pebbling.verify import CheckResult
 
@@ -287,7 +288,7 @@ def test_lp_rejects_an_uncertified_optimum(petersen_file, tmp_path, capsys, monk
         solution = solve_max(lp, on_pivot)
         return replace(solution, value=solution.value - 1)
 
-    monkeypatch.setattr(cli, "solve_max", understated)
+    monkeypatch.setattr(bounds, "solve_max", understated)
     code, out, err = run(capsys, "lp", "--graph", petersen_file,
                          "--strategies", str(ss_path))
     assert code == 1
@@ -399,6 +400,19 @@ def test_invalid_strategy_file_is_an_error(verb, entry, problem, tmp_path, capsy
     assert code == 1
     assert out == ""
     assert err.startswith("error: strategy 0: ") and problem in err
+
+
+@pytest.mark.parametrize("verb", ["bound", "lp"])
+def test_uncovering_strategy_file_is_one_error(verb, tmp_path, capsys):
+    # one edge of path(7) leaves vertices 2-6 uncovered; the LP over it is
+    # unbounded, a result no certificate proves
+    path7 = tmp_path / "path7.txt"
+    run(capsys, "family", "--kind", "path", "--size", "7", "--out", str(path7))
+    ss_path = tmp_path / "strategies.json"
+    ss_path.write_text(json.dumps({"root": 0, "strategies": [{"parent": {"1": 0}}]}))
+    code, out, err = run(capsys, verb, "--graph", str(path7), "--strategies", str(ss_path))
+    assert (code, out) == (1, "")
+    assert err == "error: no strategy covers vertices [2, 3, 4, 5, 6]\n"
 
 
 @pytest.mark.parametrize("verb", ["bound", "lp"])
@@ -617,6 +631,17 @@ def test_generation_option_the_method_does_not_read_is_one_error(
     assert code == 1
     assert out == ""
     assert err == f"error: {method} takes no {option[2:]}\n"
+
+
+@pytest.mark.parametrize("option", [["--gen", "greedy-search"], ["--maxlen", "2"],
+                                    ["--budget", "3"]], ids=["gen", "maxlen", "budget"])
+def test_bound_from_a_strategy_file_takes_no_generation_option(option, petersen_file,
+                                                               capsys):
+    data = resources.files("pebbling").joinpath("data/petersen_strategies.json")
+    code, out, err = run(capsys, "bound", "--graph", petersen_file,
+                         "--strategies", str(data), *option)
+    assert (code, out) == (1, "")
+    assert err == f"error: --strategies takes no {option[0]}\n"
 
 
 # -- python -m pebbling ---------------------------------------------------------

@@ -1,16 +1,18 @@
 """Exact simplex against a basic-feasible-point enumeration oracle, and its
 dual certificates."""
 
+import ast
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pebbling import families
+from pebbling import families, lp as lp_module
+from pebbling.bounds import build_relaxation
 from pebbling.lp import (
     CertificateError,
-    build_relaxation,
     check_certificate,
     make_linear_program,
     solve_max,
@@ -232,3 +234,11 @@ def test_bruhat4_root0_pinned():
     point[16], point[20], point[21] = Fraction(11, 2), Fraction(19, 2), Fraction(11, 2)
     assert solution.point == tuple(Fraction(x) for x in point)
     check_certificate(lp, solution)
+
+
+def test_the_simplex_module_imports_nothing_from_the_package():
+    # lp.py is a generic exact LP solver; the pebbling relaxation lives in bounds
+    tree = ast.parse(Path(lp_module.__file__).read_text(encoding="utf-8"))
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,13 @@ def _push_accepts(g, config, root, target):
     return False
 
 
+def _potential_rejects(g, config, root):
+    """Is the sum over v of c(v) / 2^dist(v, root) below 1, the value of one
+    pebble on the root?  No move raises it."""
+    dist = distances_from(g, root)
+    return sum(Fraction(c, 2 ** dist[v]) for v, c in enumerate(config)) < 1
+
+
 def _route_accepts(g, config, root):
     """Does some vertex t collect 2^dist(t, root) pebbles when every vertex
     v sends t the c // 2^dist(v, t) pebbles its own stack can carry there?"""
@@ -179,9 +187,10 @@ _SWEEP_GRAPHS = [("path5", families.path(5), range(5)), ("cycle6", families.cycl
 def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root):
     # A solvable answer is checked by replaying its witness, which proves the
     # plain search would find one too; an unsolvable one by the plain search.
-    # The answer comes without a search exactly when the tree rule or the
-    # push toward some target, each re-implemented above, decides it; every
-    # configuration that routing to one target would solve is among them.
+    # The answer comes without a search exactly when the tree rule, the
+    # push toward some target or the potential rule, each re-implemented
+    # above, decides it; every configuration that routing to one target
+    # would solve is among them.
     reference = _reference_solver(g, root)
     is_tree = g.num_edges == g.n - 1  # the sweep's graphs are connected
     dist = distances_from(g, root)
@@ -192,7 +201,8 @@ def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root
             assert apply_moves(config, result.witness)[root] >= 1, config
         else:
             assert result.witness is None and not reference(config), config
-        decided = is_tree or any(_push_accepts(g, config, root, t) for t in range(g.n))
+        decided = (is_tree or any(_push_accepts(g, config, root, t) for t in range(g.n))
+                   or _potential_rejects(g, config, root))
         assert (result.explored == 0) == decided, config
         assert result.explored == 0 or not _route_accepts(g, config, root), config
 
@@ -238,6 +248,15 @@ def test_concentrated_bruhat4_configuration_is_pushed_without_a_search():
     assert result.solvable and result.explored == 0
     assert len(result.witness) == 58
     assert apply_moves(config, result.witness)[0] >= 1
+
+
+def test_concentrated_bruhat4_configuration_is_rejected_by_its_potential():
+    # 63 pebbles on the antipode of root 0, at distance 6: 63 / 2^6 < 1, so
+    # no move sequence reaches the root.  The depth-first search alone
+    # stops at its state cap here, after 8-9 s, without an answer.
+    g = families.bruhat(4)
+    result = is_solvable(g, parse_config("23:63", g.n), 0)
+    assert result == solver.SolveResult(False, None, 0)
 
 
 def test_the_search_stops_past_its_state_cap(monkeypatch):
