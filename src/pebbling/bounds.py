@@ -21,7 +21,7 @@ from .strategy import (CoverageError, Strategy, StrategyError, StrategySet,
                        unit_weight, validate_strategy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # compact: bound_graph returns one per root
 class BoundReport:
     root: int
     min_coverage: int

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class CertificateError(ValueError):
@@ -220,16 +221,15 @@ def check_certificate(lp: LinearProgram, solution: LpSolution) -> None:
     xs, x_den = _integer_row(x)
     ys, y_den = _integer_row(y)
     for i, (row, b) in enumerate(lp.constraints):
-        if sum(a * v for a, v in zip(row, xs)) > b * x_den:
+        if sum(map(mul, row, xs)) > b * x_den:
             raise CertificateError(f"point violates constraint {i}")
     objective, obj_scale = _integer_row(lp.objective)
-    if sum(c * v for c, v in zip(objective, xs)) * z.denominator \
-            != z.numerator * x_den * obj_scale:
+    if sum(map(mul, objective, xs)) * z.denominator != z.numerator * x_den * obj_scale:
         raise CertificateError(f"point's objective is not the value {z}")
+    used = [(u, row, b) for u, (row, b) in zip(ys, lp.constraints) if u]  # zeros add nothing
     for j, c in enumerate(lp.objective):
-        column = sum(u * row[j] for u, (row, _) in zip(ys, lp.constraints))
+        column = sum(u * row[j] for u, row, _ in used)
         if column * c.denominator < c.numerator * y_den:
             raise CertificateError(f"dual falls short of the objective in column {j}")
-    if sum(u * b for u, (_, b) in zip(ys, lp.constraints)) * z.denominator \
-            != z.numerator * y_den:
+    if sum(u * b for u, _, b in used) * z.denominator != z.numerator * y_den:
         raise CertificateError(f"dual objective is not the value {z}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import sub
 from typing import NamedTuple
 
 from .graph import Graph, GraphError, decimal_int, distances_from, eccentricity, is_connected
@@ -69,13 +71,16 @@ def _depths(g: Graph, root: int, parent: dict[int, int]) -> dict[int, int]:
         raise StrategyError("strategy has no edges")
     if root in parent:
         raise StrategyError(f"root {root} has a parent")
-    for v, p in sorted(parent.items()):
-        if not 0 <= v < g.n:
-            raise StrategyError(f"vertex {v} outside 0..{g.n - 1}")
-        if not g.has_edge(v, p):
-            raise StrategyError(f"({v}, {p}) is not an edge of the graph")
+    bad = [(v, p) for v, p in parent.items() if not (0 <= v < g.n and p in g.adj[v])]
+    if bad:
+        v, p = min(bad)
+        raise StrategyError(f"vertex {v} outside 0..{g.n - 1}" if not 0 <= v < g.n
+                            else f"({v}, {p}) is not an edge of the graph")
     depth = {root: 0}
-    for v in parent:
+    for v, p in parent.items():
+        if p in depth:  # the common order: a parent listed before its children
+            depth[v] = depth[p] + 1
+            continue
         chain = []
         u = v
         while u not in depth:
@@ -83,9 +88,8 @@ def _depths(g: Graph, root: int, parent: dict[int, int]) -> dict[int, int]:
             if u not in parent or len(chain) > len(parent):
                 raise StrategyError(f"vertex {v} does not reach the root through parents")
             u = parent[u]
-        base = depth[u]
-        for i, w in enumerate(reversed(chain), start=1):
-            depth[w] = base + i
+        for w in reversed(chain):
+            depth[w] = depth[parent[w]] + 1
     return depth
 
 
@@ -124,16 +128,16 @@ def validate_strategy(g: Graph, s: Strategy) -> None:
     if not 0 <= s.root < g.n:
         raise StrategyError(f"root {s.root} outside 0..{g.n - 1}")
     _depths(g, s.root, s.parent)
-    if set(s.weight) != set(s.parent):
+    if s.weight.keys() != s.parent.keys():
         raise StrategyError("weight map does not cover exactly the non-root vertices")
-    for v, w in sorted(s.weight.items()):
-        if w <= 0:
-            raise StrategyError(f"vertex {v} has nonpositive weight {w}")
+    bad = [(v, w) for v, w in s.weight.items() if w <= 0]
+    if bad:
+        raise StrategyError("vertex {} has nonpositive weight {}".format(*min(bad)))
     if sum(s.weight.values()) > _WEIGHT_LIMIT:
         raise StrategyError(_OVER_WEIGHT_LIMIT)
-    for v, p in sorted(s.parent.items()):
-        if p != s.root and s.weight[p] != 2 * s.weight[v]:
-            raise StrategyError(f"weight does not double from {v} to its parent {p}")
+    bad = [(v, p) for v, p in s.parent.items() if p != s.root and s.weight[p] != 2 * s.weight[v]]
+    if bad:
+        raise StrategyError("weight does not double from {} to its parent {}".format(*min(bad)))
 
 
 def config_weight(s: Strategy, config) -> int:
@@ -282,43 +286,43 @@ def coverage(n: int, root: int, strategies) -> list[int]:
 def _greedy_descent(n: int, root: int, pool: list[Strategy], start: list[int]):
     """Steepest-descent removal on total/coverage starting from the given subset.
 
-    Coverage is maintained incrementally.  A candidate removal lowers only
-    the dropped strategy's vertices (never the root), so the new minimum is
-    the least of those lowered values and the least coverage outside them,
-    read off one ascending sort of the vertices per step.
+    Each step drops the strategy leaving the least ratio, ties to the first
+    in start order, if it beats the current total/low.  A drop's new minimum
+    coverage f is at most low and at most its f at an earlier step (coverage
+    only falls), so the scan goes heaviest first, stops once
+    (total - unit) / low loses to the best drop, skips a candidate whose last
+    f loses, and computes the exact f only for the rest.
     """
-    current = list(start)
     try:
-        cover = coverage(n, root, [pool[i] for i in current])
+        cover = coverage(n, root, [pool[i] for i in start])
     except CoverageError:
         return None
-    units = [unit_weight(pool[i]) for i in current]
+    units = [unit_weight(pool[i]) for i in start]
     total = sum(units)
-    low = min(cover[v] for v in range(n) if v != root)
-    while len(current) > 1:
-        best = None
-        ascending = sorted((v for v in range(n) if v != root), key=cover.__getitem__)
-        for drop, i in enumerate(current):
-            weight = pool[i].weight
-            new_low = min(cover[v] - w for v, w in weight.items())
-            outside = next((v for v in ascending if v not in weight), None)
-            if outside is not None and cover[outside] < new_low:
-                new_low = cover[outside]
-            if new_low == 0:
+    cover[root] = total + 1  # above every coverage, so min(cover) skips the root
+    dense = [[pool[i].weight.get(v, 0) for v in range(n)] for i in start]
+    low = min(cover)
+    cap = [low] * len(start)  # each f as last computed; low bounds it before that
+    order = sorted(range(len(start)), key=lambda k: -units[k])  # stable: ties keep start order
+    while len(order) > 1:
+        # the best drop as (total, coverage, position), starting from the
+        # current ratio; a/b < c/d iff a*d < c*b
+        best = (total, low, -1)
+        for k in order:
+            new_total = total - units[k]
+            if new_total * best[1] > best[0] * low:
+                break
+            if (new_total * best[1], k) > (best[0] * cap[k], best[2]):
                 continue
-            new_total = total - units[drop]
-            # compare total/coverage as fractions: a/b < c/d iff a*d < c*b
-            if new_total * low < total * new_low and (best is None or
-                    new_total * best[1][1] < best[1][0] * new_low):
-                best = (drop, (new_total, new_low))
-        if best is None:
+            f = cap[k] = min(map(sub, cover, dense[k]))
+            if (new_total * best[1], k) < (best[0] * f, best[2]):
+                best = (new_total, f, k)
+        total, low, k = best
+        if k < 0:
             break
-        drop, (total, low) = best
-        for v, w in pool[current[drop]].weight.items():
-            cover[v] -= w
-        current.pop(drop)
-        units.pop(drop)
-    return current, (total, low)
+        cover = list(map(sub, cover, dense[k]))
+        order.remove(k)
+    return [start[k] for k in sorted(order)], (total, low)
 
 
 def check_generation_options(method: str, maxlen: int | None, budget: int | None) -> None:
@@ -441,17 +445,12 @@ def _greedy_search(g: Graph, root: int, ecc: int, maxlen: int | None,
         push({v: u for u, v in zip(p, p[1:])})
 
     starts = [list(range(len(pool)))] + families
-    best = None
-    for start in starts:
-        outcome = _greedy_descent(g.n, root, pool, start)
-        if outcome is None:
-            continue
-        chosen, (total, low) = outcome
-        if best is None or total * best[1][1] < best[1][0] * low:
-            best = (chosen, (total, low))
-    if best is None:
+    outcomes = [o for o in (_greedy_descent(g.n, root, pool, s) for s in starts) if o is not None]
+    if not outcomes:
         return pool
-    return [pool[i] for i in best[0]]
+    # the least ratio total/low, the first start on ties
+    chosen, _ = min(outcomes, key=lambda outcome: Fraction(*outcome[1]))
+    return [pool[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import deep_broom
 from pebbling import families, strategy
-from pebbling.bounds import lp_bound
+from pebbling.bounds import bound_graph, lp_bound
 from pebbling.graph import GraphError, distances_from, new_graph
 from pebbling.solver import is_solvable
 from pebbling.strategy import (
@@ -17,6 +18,7 @@ from pebbling.strategy import (
     StrategyError,
     StrategySet,
     config_weight,
+    coverage,
     generate_strategies,
     load_strategy_set,
     max_unsolvable_weight_check,
@@ -51,6 +53,8 @@ def test_tree_strategy_heights():
     s = strategy_from_tree(g, 0, {1: 0, 2: 0, 3: 1, 4: 1})
     # height 2: depth-1 vertices weigh 2, depth-2 leaves weigh 1
     assert s.weight == {1: 2, 2: 2, 3: 1, 4: 1}
+    # children listed before their parents get the same depths
+    assert strategy_from_tree(g, 0, {4: 1, 3: 1, 1: 0, 2: 0}).weight == s.weight
 
 
 def test_children_of_root_not_constrained_by_doubling():
@@ -100,6 +104,8 @@ def test_validate_catches_each_violation():
         (Strategy(0, {4: 0}, {4: 1}), r"vertex 4 outside 0\.\.3"),
         (Strategy(0, {3: 0}, {3: 1}), r"\(3, 0\) is not an edge of the graph"),
         (Strategy(0, {1: 2, 2: 1}, {1: 2, 2: 2}), "vertex 1 does not reach the root"),
+        # named in the map's order: the first vertex whose parents lead nowhere
+        (Strategy(0, {1: 0, 3: 2, 2: 3}, {1: 1, 2: 1, 3: 1}), "vertex 3 does not reach the root"),
         (Strategy(0, {1: 0}, {1: 1, 2: 1}), "weight map does not cover exactly"),
         (Strategy(0, {1: 0}, {1: 0}), "vertex 1 has nonpositive weight 0"),
         (Strategy(0, {1: 0, 2: 1}, {1: 1 << 62, 2: 1 << 62}), "unit weight over the 64-bit"),
@@ -108,6 +114,24 @@ def test_validate_catches_each_violation():
     for s, problem in violations:
         with pytest.raises(StrategyError, match=problem):
             validate_strategy(g, s)
+
+
+@pytest.mark.parametrize("g,s,problem", [
+    (families.path(4), Strategy(0, {5: 0, 4: 0}, {5: 1, 4: 1}), r"vertex 4 outside 0\.\.3$"),
+    (families.path(4), Strategy(0, {9: 0, 3: 0}, {9: 1, 3: 1}),
+     r"\(3, 0\) is not an edge of the graph$"),
+    (families.path(5), Strategy(0, {3: 0, 2: 0}, {3: 1, 2: 1}),
+     r"\(2, 0\) is not an edge of the graph$"),
+    (families.path(4), Strategy(0, {1: 0, 2: 1, 3: 2}, {3: 0, 2: -1, 1: 4}),
+     "vertex 2 has nonpositive weight -1$"),
+    (families.path(4), Strategy(0, {3: 2, 2: 1, 1: 0}, {1: 4, 2: 3, 3: 1}),
+     "weight does not double from 2 to its parent 1$"),
+], ids=["outside", "outside-and-not-an-edge", "not-an-edge", "nonpositive", "not-doubling"])
+def test_validate_names_the_smallest_of_two_violations(g, s, problem):
+    # each map lists the larger vertex first, so the message must come from
+    # the vertex order, not the map's order
+    with pytest.raises(StrategyError, match=problem):
+        validate_strategy(g, s)
 
 
 def test_config_weight_and_overflow():
@@ -373,7 +397,7 @@ def test_greedy_search_skips_trees_over_the_unit_weight_limit():
      "e12ded819f73b3e8c0ac2e1e4a6de6cea605762323118b8d723288c49e062da9"),
 ], ids=["petersen", "cycle6", "hypercube3"])
 def test_greedy_search_output_pinned(g, sizes, digest):
-    # every root's set, as the full-vertex coverage scan of the descent chose it
+    # every root's set, as the steepest descent chose it from the same pool
     sets = [strategy_set_to_json(generate_strategies(g, r, "greedy-search"))
             for r in range(g.n)]
     assert [len(s["strategies"]) for s in sets] == sizes
@@ -386,3 +410,125 @@ def test_greedy_search_cycle6_root0_pinned():
         {"parent": {"1": 0, "2": 1, "3": 2}, "weight": {"1": 4, "2": 2, "3": 1}},
         {"parent": {"3": 4, "4": 5, "5": 0}, "weight": {"3": 1, "4": 2, "5": 4}},
     ]
+
+
+def test_bruhat4_bound_pinned():
+    # the headline fixed point: the root-0 greedy set and the whole-graph JSON
+    g = families.bruhat(4)
+    ss = generate_strategies(g, 0, "greedy-search")
+    report = lp_bound(g, ss)
+    assert (len(ss.strategies), report.total_unit_weight, report.min_coverage) == (47, 3354, 38)
+    assert (report.ratio_bound, report.lp_bound) == (89, 68)
+    payload = bound_graph(g).to_json_dict(g)
+    assert payload["overall_bound"] == 68
+    assert [r["root"] for r in payload["per_root"] if "dual" in r] == list(range(24))
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == \
+        "e0388f53ea937cb53c2ea7c792fdf3354d1ea8b1163a2718b9e511356050a8ab"
+
+
+# ---------------------------------------------------------------------------
+# the pruned descent against the plain scan
+
+def _plain_descent(n, root, pool, start):
+    """Steepest descent that computes every candidate's new minimum at every step.
+
+    The scan _greedy_descent prunes, kept here as the reference it must match.
+    """
+    current = list(start)
+    try:
+        cover = coverage(n, root, [pool[i] for i in current])
+    except CoverageError:
+        return None
+    units = [unit_weight(pool[i]) for i in current]
+    total = sum(units)
+    low = min(cover[v] for v in range(n) if v != root)
+    while len(current) > 1:
+        best = None
+        ascending = sorted((v for v in range(n) if v != root), key=cover.__getitem__)
+        for drop, i in enumerate(current):
+            weight = pool[i].weight
+            new_low = min(cover[v] - w for v, w in weight.items())
+            outside = next((v for v in ascending if v not in weight), None)
+            if outside is not None and cover[outside] < new_low:
+                new_low = cover[outside]
+            if new_low == 0:
+                continue
+            new_total = total - units[drop]
+            if new_total * low < total * new_low and (best is None or
+                    new_total * best[1][1] < best[1][0] * new_low):
+                best = (drop, (new_total, new_low))
+        if best is None:
+            break
+        drop, (total, low) = best
+        for v, w in pool[current[drop]].weight.items():
+            cover[v] -= w
+        current.pop(drop)
+        units.pop(drop)
+    return current, (total, low)
+
+
+def _random_connected_graph(seed):
+    """A random tree on 3..11 vertices plus up to n random extra edges."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 11)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+    return new_graph(n, edges)
+
+
+DESCENT_GRAPHS = {
+    "bruhat4": families.bruhat(4), "petersen": families.petersen(),
+    "hypercube3": families.hypercube(3), "cycle9": families.cycle(9),
+    **{f"random{seed}": _random_connected_graph(seed) for seed in range(6)},
+}
+
+
+def _descent_inputs(monkeypatch, g, root):
+    """Every (pool, start) that greedy-search hands the descent at the root."""
+    calls = []
+    descent = strategy._greedy_descent
+
+    def recording(n, r, pool, start):
+        calls.append((pool, list(start)))
+        return descent(n, r, pool, start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(strategy, "_greedy_descent", recording)
+        generate_strategies(g, root, "greedy-search")
+    return calls
+
+
+@pytest.mark.parametrize("name", DESCENT_GRAPHS)
+def test_pruned_descent_matches_the_plain_scan(name, monkeypatch):
+    g = DESCENT_GRAPHS[name]
+    rng = random.Random(name)
+    for root in (0, g.n - 1):
+        calls = _descent_inputs(monkeypatch, g, root)
+        pool = calls[0][0]
+        # random starts, in pool order or shuffled, test the tie rule's start order
+        for _ in range(25):
+            start = rng.sample(range(len(pool)), rng.randint(1, len(pool)))
+            if rng.random() < 0.5:
+                start.sort()
+            calls.append((pool, start))
+        for pool, start in calls:
+            assert strategy._greedy_descent(g.n, root, pool, start) == \
+                _plain_descent(g.n, root, pool, start)
+
+
+def _generated(g, root, options):
+    try:
+        return generate_strategies(g, root, "greedy-search", **options)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("options", [{"budget": 3}, {"budget": 17}, {"budget": 40}, {"maxlen": 2}],
+                         ids=["budget3", "budget17", "budget40", "maxlen2"])
+def test_greedy_search_picks_what_the_plain_scan_picks(options, monkeypatch):
+    for g in DESCENT_GRAPHS.values():
+        roots = (0, g.n - 1) if g.n > 12 else range(g.n)
+        pruned = [_generated(g, root, options) for root in roots]
+        with monkeypatch.context() as patch:
+            patch.setattr(strategy, "_greedy_descent", _plain_descent)
+            assert [_generated(g, root, options) for root in roots] == pruned
