@@ -72,7 +72,7 @@ class SolveResult:
     explored: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # compact: callers may hold many
 class PebblingResult:
     value: int
     root: int
@@ -205,6 +205,38 @@ def _moves(runs) -> tuple[Move, ...]:
     return tuple(moves)
 
 
+def _push(geometry: Geometry, counts) -> list[Run] | None:
+    """The runs of the first push in geometry.pushes that solves counts, or None.
+
+    The push toward a target t moves, along every edge (u, next) of t's
+    order, c // 2 of u's c pebbles to next.  These are legal moves, so if
+    they bring a vertex up to its threshold, counts is solvable; the runs
+    end with the one that did.  As floor((a + b) / 2) >= floor(a / 2) +
+    floor(b / 2), t collects at least the sum over v of c(v) >> dist(v, t):
+    every stack's own share, shipped along a geodesic.
+
+    Acceptance is monotone: a vertex at distance d from t receives only
+    from vertices at distance d + 1, which come earlier in the order, so it
+    holds all its pebbles before it sends half of them, and adding pebbles
+    to counts never lowers what any vertex holds at any step.  So if the
+    push accepts counts, it accepts every configuration that holds at least
+    as many pebbles on every vertex.
+    """
+    threshold = geometry.threshold
+    for order in geometry.pushes:
+        pushed = list(counts)
+        runs: list[Run] = []
+        for u, v in order:
+            k = pushed[u] >> 1
+            if k:
+                pushed[u] -= 2 * k
+                pushed[v] += k
+                runs.append((u, v, k))
+                if pushed[v] >= threshold[v]:
+                    return runs
+    return None
+
+
 def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
     """Decide counts by pushing pebbles where that decides, else by depth-first search.
 
@@ -217,12 +249,8 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
 
     explored == 0 means a rule decided:
 
-    - The push, once per target t in geometry.pushes, the root first: along
-      every edge (u, next) of t's order, u moves c // 2 of its c pebbles to
-      next.  These are legal moves, so if they bring a vertex up to its
-      threshold, counts is solvable.  As floor((a + b) / 2) >= floor(a / 2)
-      + floor(b / 2), t collects at least the sum over v of c(v) >>
-      dist(v, t): every stack's own share, shipped along a geodesic.
+    - The push (_push), once per target t in geometry.pushes, the root
+      first, proves counts solvable.
     - The tree rule: on a tree every useful move goes toward the root (a
       pebble sent away could only come back over the same edge, a cycle the
       No-Cycle Lemma rules out), so the push toward the root is optimal play
@@ -237,22 +265,14 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
     from counts; it raises SearchCapError once it has visited more than
     DEFAULT_MAX_STATES configurations.
     """
-    threshold = geometry.threshold
-    for order in geometry.pushes:
-        pushed = list(counts)
-        runs: list[Run] = []
-        for u, v in order:
-            k = pushed[u] >> 1
-            if k:
-                pushed[u] -= 2 * k
-                pushed[v] += k
-                runs.append((u, v, k))
-                if pushed[v] >= threshold[v]:
-                    return runs, 0
+    runs = _push(geometry, counts)
+    if runs is not None:
+        return runs, 0
     if geometry.tree:
         return None, 0
     if sum(c * w for c, w in zip(counts, geometry.potential)) < geometry.unit:
         return None, 0
+    threshold = geometry.threshold
     table = geometry.moves
     cap = DEFAULT_MAX_STATES
     seen = {counts}
@@ -378,9 +398,11 @@ def _bounded_compositions(total: int, caps):
 def _level_space(g: Graph, root: int):
     """Root geometry and the caps threshold - 1 of every vertex, 0 at the root.
 
-    The configurations of a level are _bounded_compositions(total, caps).
-    The caps, like the pebbling number, are only defined on a connected
-    graph.
+    A level's configurations are the tuples of its total bounded by the
+    caps, _bounded_count(total, caps) of them; _scan_level walks them in
+    the lexicographic order of _bounded_compositions(total, caps), skipping
+    those the push settles as a prefix.  The caps, like the pebbling
+    number, are only defined on a connected graph.
     """
     if not is_connected(g):
         raise GraphError("pebbling numbers need a connected graph")
@@ -392,11 +414,46 @@ def _level_space(g: Graph, root: int):
 
 
 def _scan_level(geometry, caps, total: int):
-    """First unsolvable configuration at this total, in enumeration order."""
-    for counts in _bounded_compositions(total, caps):
-        if _search(geometry, counts)[0] is None:
-            return counts
-    return None
+    """First unsolvable configuration at this total, in enumeration order.
+
+    A depth-first walk over the positions, each value from smallest to
+    largest: the lexicographic order of _bounded_compositions.  Once a
+    nonzero value at position i lets _push accept the prefix, every later
+    position empty, position i is done: every larger value there, and every
+    completion, holds at least that prefix, so the push accepts it too.
+    Each full configuration the walk reaches goes through _search, so the
+    first unsolvable one is the one a plain scan meets first.
+    """
+    n = len(caps)
+    room = [0] * (n + 1)  # room[i]: the most pebbles positions i and later hold
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    if not 0 <= total <= room[0]:
+        return None
+    x = [0] * n
+    i, rem = 0, total  # rem: the pebbles positions i and later hold
+    value = max(0, rem - room[1])
+    while True:
+        x[i] = value
+        if i == n - 1:
+            counts = tuple(x)
+            if _search(geometry, counts)[0] is None:
+                return counts
+        elif not value or _push(geometry, x) is None:
+            rem -= value
+            i += 1
+            value = max(0, rem - room[i + 1])
+            continue
+        # position i is done: back up to the last position that can take one more
+        while True:
+            x[i] = 0
+            i -= 1
+            if i < 0:
+                return None
+            rem += x[i]
+            if x[i] < caps[i] and x[i] < rem:
+                value = x[i] + 1
+                break
 
 
 def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFIGS,

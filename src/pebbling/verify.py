@@ -280,7 +280,7 @@ def _check_weight_oracle():
 def _check_tree_formula():
     shape_cache: dict = {}
     pairs = 0
-    for n in range(1, 8):
+    for n in range(1, 9):
         for arr in labeled_trees(n):
             g = families.tree_from_parents(arr)
             for root in range(n):

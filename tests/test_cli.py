@@ -155,7 +155,8 @@ def test_solve_concentrated_bruhat4_configuration(tmp_path, capsys):
 @pytest.mark.parametrize("family,verb", [
     (["--kind", "petersen"], ["solve", "--root", "0", "--config", "2:1,3:1,6:1,7:1,8:3,9:1"]),
     # every configuration of Petersen's scan is decided without a search;
-    # 52 of the 1,524 that cycle(7)'s scan visits at root 0 still need one
+    # 3 of the 15 that cycle(7)'s prefix-pruned scan searches at root 0
+    # still need one
     (["--kind", "cycle", "--size", "7"], ["pi", "--root", "0"]),
 ], ids=["solve", "pi"])
 def test_search_cap_is_one_error_line(family, verb, tmp_path, capsys, monkeypatch):

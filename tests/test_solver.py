@@ -2,20 +2,23 @@
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebbling import families, solver
-from pebbling.graph import distances_from
+from pebbling.graph import distances_from, new_graph
 from pebbling.solver import (
     ConfigFormatError,
     EnumerationCapError,
     SearchCapError,
     _bounded_compositions,
     _level_space,
+    _push,
     _root_geometry,
+    _scan_level,
     _search,
     apply_moves,
     format_config,
@@ -214,6 +217,105 @@ def test_every_level_64_configuration_of_path7_is_pushed_to_the_root():
     for config in configs:
         moves, explored = _search(geometry, config)
         assert moves is not None and explored == 0, config
+
+
+# ---------------------------------------------------------------------------
+# the prefix-pruned level scan against a plain scan
+
+def _plain_scan(geometry, caps, total):
+    """The first configuration of the level, in enumeration order, that _search rejects."""
+    return next((c for c in _bounded_compositions(total, caps) if _search(geometry, c)[0] is None),
+                None)
+
+
+def _random_small_graphs(count, seed):
+    """Random connected graphs on 4..7 vertices: a random tree plus up to n extra edges."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+        graphs.append(new_graph(n, edges))
+    return graphs
+
+
+_SCAN_GRAPHS = {
+    **{f"path{n}": families.path(n) for n in range(2, 8)},
+    **{f"cycle{n}": families.cycle(n) for n in range(3, 9)},
+    **{f"complete{n}": families.complete(n) for n in range(2, 6)},
+    "petersen": families.petersen(), "hypercube3": families.hypercube(3),
+    "tree-a": families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]),
+    "binary7": families.tree_from_parents([-1, 0, 0, 1, 1, 2, 2]),
+    **{f"random{i}": g for i, g in enumerate(_random_small_graphs(20, 20))},
+}
+
+
+@pytest.mark.parametrize("g", _SCAN_GRAPHS.values(), ids=_SCAN_GRAPHS.keys())
+def test_pruned_scan_matches_a_plain_scan(g, monkeypatch):
+    # every level from one below the scan's lower bound to one past the
+    # rooted pebbling number, at every root; the configurations the pruned
+    # scan searches are configurations of the level, in enumeration order
+    searched = []
+
+    def search(geometry, counts):
+        searched.append(counts)
+        return _search(geometry, counts)
+
+    monkeypatch.setattr(solver, "_search", search)
+    for root in range(g.n):
+        geometry, caps = _level_space(g, root)
+        lower = max(g.n, 1 << max(geometry.dist))
+        level, pi = lower - 1, None
+        while pi is None or level <= pi + 1:
+            plain = _plain_scan(geometry, caps, level)
+            searched.clear()
+            assert _scan_level(geometry, caps, level) == plain, (root, level)
+            level_order = {c: k for k, c in enumerate(_bounded_compositions(level, caps))}
+            positions = [level_order[c] for c in searched]
+            assert positions == sorted(set(positions)), (root, level)
+            if plain is None and level >= lower and pi is None:
+                pi = level
+            level += 1
+        assert pebbling_number(g, root).value == pi, root
+
+
+@pytest.mark.parametrize("caps", [(0,), (2,), (0, 3, 0), (1, 3, 7), (2, 0, 1, 4), (3, 3, 3, 3),
+                                  (1, 1, 0, 1, 1)])
+def test_unpruned_walk_searches_the_whole_enumeration(caps, monkeypatch):
+    # with no prefix accepted and every configuration solvable, the walk
+    # searches exactly the configurations _bounded_compositions yields
+    searched = []
+
+    def search(geometry, counts):
+        searched.append(counts)
+        return [], 1
+
+    monkeypatch.setattr(solver, "_push", lambda geometry, counts: None)
+    monkeypatch.setattr(solver, "_search", search)
+    for total in range(sum(caps) + 3):
+        searched.clear()
+        assert _scan_level(None, caps, total) is None
+        assert searched == list(_bounded_compositions(total, caps)), total
+
+
+_PUSH_GRAPHS = [families.path(5), families.cycle(6), families.petersen(), families.hypercube(3),
+                families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]), families.bruhat(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_push_acceptance_is_monotone(data):
+    # what lets the level scan skip every completion of an accepted prefix
+    g = data.draw(st.sampled_from(_PUSH_GRAPHS))
+    root = data.draw(st.integers(0, g.n - 1))
+    config = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n))
+    geometry = _root_geometry(g, root)
+    if _push(geometry, config) is not None:
+        for v in range(g.n):
+            bigger = list(config)
+            bigger[v] += 1
+            assert _push(geometry, bigger) is not None, (root, config, v)
 
 
 def test_tree_answers_come_without_a_search():
