@@ -16,8 +16,8 @@ from fractions import Fraction
 from .graph import Graph, GraphError, is_connected, root_orbits
 from .lp import (LinearProgram, LpSolution, check_certificate, fraction_text,
                  make_linear_program, solve_max)
-from .strategy import (CoverageError, Strategy, StrategyError, StrategySet,
-                       check_generation_options, coverage, generate_strategies,
+from .strategy import (DEFAULT_GENERATION_METHOD, CoverageError, Strategy, StrategyError,
+                       StrategySet, check_generation_options, coverage, generate_strategies,
                        unit_weight, validate_strategy)
 
 
@@ -164,7 +164,7 @@ def _mapped_error(exc: ValueError, sigma) -> str:
     return str(exc)
 
 
-def bound_graph(g: Graph, method: str = "lp", *, gen: str = "greedy-search",
+def bound_graph(g: Graph, method: str = "lp", *, gen: str = DEFAULT_GENERATION_METHOD,
                 maxlen: int | None = None, budget: int | None = None,
                 threads: int = 1) -> GraphBounds:
     """Bound the pebbling number of the whole graph: one report per root.

@@ -28,6 +28,7 @@ from .solver import (
     pebbling_number_max,
 )
 from .strategy import (
+    DEFAULT_GENERATION_METHOD,
     GENERATION_METHODS,
     StrategyError,
     generate_strategies,
@@ -165,7 +166,7 @@ def _cmd_bound(args) -> int:
     if args.strategies and given:
         raise StrategyError(f"--strategies takes no {', '.join(given)}")
     g = read_edge_list(args.graph)
-    gen = args.gen or "greedy-search"
+    gen = args.gen or DEFAULT_GENERATION_METHOD
     if args.strategies or args.root is not None:
         if args.strategies:
             ss = _load_strategies(args, g)
@@ -212,19 +213,16 @@ def _cmd_lp(args) -> int:
 
 def _cmd_tree_pi(args) -> int:
     g = read_edge_list(args.graph)
-    if args.root is not None:
-        value = treepi.tree_pebbling_number(g, args.root)
-        root = args.root
-    else:
-        result = treepi.tree_pebbling_number_max(g)
-        value, root = result.value, result.root
+    root = args.root
+    if root is None:
+        root = treepi.tree_pebbling_number_max(g).root
     partition = treepi.max_path_partition(g, root)
-    critical = treepi.tree_critical_config(g, root)
+    value = partition.pebbling_number
     payload = {
         "value": value,
         "root": root,
         "partition": partition.to_json_list(),
-        "critical_config": format_config(critical),
+        "critical_config": format_config(partition.critical_config),
     }
     scope = f"root {root}" if args.root is not None else f"all roots (max at root {root})"
     _emit(args, payload, f"tree pebbling number {value} for {scope}; "
@@ -279,7 +277,7 @@ def _add_max_configs_arg(sub) -> None:
 def _add_gen_args(sub, flag: str, default: str | None) -> None:
     """Strategy generation options; bound names the method --gen, strategies --method."""
     sub.add_argument(flag, default=default, choices=GENERATION_METHODS,
-                     help="strategy generation method (default greedy-search)")
+                     help=f"strategy generation method (default {DEFAULT_GENERATION_METHOD})")
     sub.add_argument("--maxlen", type=_positive_int, default=None, help="path length cap")
     sub.add_argument("--budget", type=_positive_int, default=None,
                      help="greedy-search candidate pool cap")
@@ -322,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_verb("strategies", "generate a covering strategy set")
     _add_graph_arg(p)
     p.add_argument("--root", type=_int, required=True)
-    _add_gen_args(p, "--method", "greedy-search")
+    _add_gen_args(p, "--method", DEFAULT_GENERATION_METHOD)
     p.add_argument("--out", default=None, help="write the strategy set JSON here")
     p.set_defaults(func=_cmd_strategies)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .graph import Graph, GraphError, new_graph
+from .graph import Graph, GraphError, distances_from, new_graph
 
 ROOT_SENTINEL = -1
 
@@ -77,7 +77,12 @@ def bruhat(n: int) -> Graph:
 
 
 def tree_from_parents(parents) -> Graph:
-    """Tree from a parent array; the single root holds ROOT_SENTINEL (-1)."""
+    """Tree from a parent array; the single root holds ROOT_SENTINEL (-1).
+
+    new_graph rejects out-of-range parents and self-parents by their edge; a
+    pointer cycle, even one that collapses to a single edge, cuts its
+    vertices off from the root.
+    """
     parents = list(parents)
     n = len(parents)
     if n < 1:
@@ -86,26 +91,12 @@ def tree_from_parents(parents) -> Graph:
     if len(roots) != 1:
         raise GraphError(f"expected exactly one root sentinel, found {len(roots)}")
     root = roots[0]
-    for v, p in enumerate(parents):
-        if v != root and not 0 <= p < n:
-            raise GraphError(f"parent of {v} is {p}, outside 0..{n - 1}")
-        if p == v:
-            raise GraphError(f"vertex {v} is its own parent")
-    # Walk each vertex to the root; a cycle never reaches it.
-    state = [0] * n  # 0 unseen, 1 on current walk, 2 known good
-    state[root] = 2
-    for v in range(n):
-        walk = []
-        u = v
-        while state[u] == 0:
-            state[u] = 1
-            walk.append(u)
-            u = parents[u]
-            if state[u] == 1:
-                raise GraphError(f"parent pointers cycle through vertex {u}")
-        for w in walk:
-            state[w] = 2
-    return new_graph(n, ((v, parents[v]) for v in range(n) if v != root))
+    g = new_graph(n, ((v, p) for v, p in enumerate(parents) if v != root))
+    dist = distances_from(g, root)
+    if None in dist:
+        v = dist.index(None)
+        raise GraphError(f"vertex {v} does not reach the root through parents")
+    return g
 
 
 FAMILY_KINDS = ("path", "cycle", "complete", "hypercube", "petersen", "bruhat", "tree")

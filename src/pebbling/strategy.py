@@ -22,6 +22,7 @@ from .solver import _bounded_compositions, _level_space, is_solvable
 
 MAX_DEPTH = 62  # bounds each weight by 2^61; the sum of the weights is checked on its own
 GENERATION_METHODS = ("greedy-search", "all-paths", "bfs-trees")
+DEFAULT_GENERATION_METHOD = "greedy-search"
 _WEIGHT_LIMIT = (1 << 63) - 1
 _OVER_WEIGHT_LIMIT = "unit weight over the 64-bit limit"
 # the methods that read each generation option
@@ -341,7 +342,7 @@ def check_generation_options(method: str, maxlen: int | None, budget: int | None
             raise StrategyError(f"{method} takes no {name}")
 
 
-def generate_strategies(g: Graph, root: int, method: str = "greedy-search", *,
+def generate_strategies(g: Graph, root: int, method: str = DEFAULT_GENERATION_METHOD, *,
                         maxlen: int | None = None, budget: int | None = None,
                         seed: int = 0) -> StrategySet:
     """Build a covering strategy set for the root.

@@ -284,11 +284,12 @@ def _check_tree_formula():
         for arr in labeled_trees(n):
             g = families.tree_from_parents(arr)
             for root in range(n):
-                formula = treepi.tree_pebbling_number(g, root)
+                partition = treepi.max_path_partition(g, root)
+                formula = partition.pebbling_number
                 shape = rooted_shape(g, root)
                 if shape not in shape_cache:
                     oracle = pebbling_number(g, root).value
-                    crit = treepi.tree_critical_config(g, root)
+                    crit = partition.critical_config
                     crit_ok = sum(crit) == oracle - 1 and (
                         sum(crit) == 0 or not is_solvable(g, crit, root).solvable)
                     shape_cache[shape] = (oracle, crit_ok)

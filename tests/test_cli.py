@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from conftest import deep_broom
-from pebbling import bounds, cli, solver, verify
+from pebbling import bounds, cli, solver, treepi, verify
 from pebbling.cli import main
-from pebbling.graph import read_edge_list, write_edge_list
+from pebbling.graph import new_graph, read_edge_list, write_edge_list
 from pebbling.bounds import build_relaxation
 from pebbling.lp import LpSolution, check_certificate, solve_max
 from pebbling.strategy import load_strategy_set
@@ -481,6 +481,33 @@ def test_tree_pi_rejects_non_tree(petersen_file, capsys):
     code, _, err = run(capsys, "tree-pi", "--graph", petersen_file)
     assert code == 1
     assert "not a tree" in err
+
+
+@pytest.mark.parametrize("root", [[], ["--root", "0"], ["--root", "3"]],
+                         ids=["all-roots", "root-0", "root-3"])
+def test_tree_pi_rejects_n_minus_one_edges_without_a_tree(root, tmp_path, capsys):
+    graph = tmp_path / "triangle-and-point.txt"
+    write_edge_list(new_graph(4, [(0, 1), (1, 2), (0, 2)]), graph)
+    code, out, err = run(capsys, "tree-pi", "--graph", str(graph), *root)
+    assert (code, out, err) == (1, "", "error: graph is not a tree\n")
+
+
+def test_tree_pi_at_a_root_builds_one_partition(tmp_path, capsys, monkeypatch):
+    tree = tmp_path / "binary7.txt"
+    run(capsys, "family", "--kind", "tree", "--parents=-1,0,0,1,1,2,2",
+        "--out", str(tree))
+    roots = []
+
+    def counted(g, root):
+        roots.append(root)
+        return build(g, root)
+
+    build = treepi.max_path_partition
+    monkeypatch.setattr(treepi, "max_path_partition", counted)
+    code, out, _ = run(capsys, "tree-pi", "--graph", str(tree), "--root", "3", "--json")
+    assert code == 0 and roots == [3]
+    payload = json.loads(out)
+    assert (payload["value"], payload["critical_config"]) == (18, "4:1,5:15,6:1")
 
 
 # -- verify ---------------------------------------------------------------------

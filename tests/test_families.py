@@ -112,6 +112,18 @@ def test_tree_from_parents_rejects_bad_input():
         families.tree_from_parents([-1, 2, 1])  # cycle
 
 
+@pytest.mark.parametrize("parents, message", [
+    ([-1, 2, 1], "vertex 1 does not reach the root through parents"),  # a 2-cycle: one edge
+    ([-1, 0, 3, 4, 2], "vertex 2 does not reach the root through parents"),
+    ([-1, 5], r"edge \(1, 5\) has an endpoint outside 0..1"),
+    ([-1, -2], r"edge \(1, -2\) has an endpoint outside 0..1"),
+    ([-1, 1], r"edge \(1, 1\) is a self-loop"),
+], ids=["two-cycle", "three-cycle", "parent-too-large", "parent-negative", "own-parent"])
+def test_tree_from_parents_names_the_fault(parents, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        families.tree_from_parents(parents)
+
+
 def test_family_bounds_enforced():
     with pytest.raises(GraphError):
         families.cycle(2)

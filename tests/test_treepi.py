@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from pebbling import families
+from pebbling import families, treepi
 from pebbling.graph import GraphError, new_graph
 from pebbling.solver import is_solvable, pebbling_number
 from pebbling.treepi import (is_tree, max_path_partition, tree_critical_config,
@@ -97,6 +97,36 @@ def test_partition_paths_are_leaf_first(binary7):
     assert partition.to_json_list() == [[3, 1, 0], [5, 2, 0], [4, 1], [6, 2]]
 
 
+@pytest.mark.parametrize("parents, root, paths", [
+    ([-1, 0, 0, 1, 1, 2, 2], 3, ((5, 2, 0, 1, 3), (4, 1), (6, 2))),
+    ([-1, 0, 0, 1, 1, 2, 2], 6, ((3, 1, 0, 2, 6), (4, 1), (5, 2))),
+    ([-1, 0, 0, 0, 1, 2, 4], 5, ((6, 4, 1, 0, 2, 5), (3, 0))),
+], ids=["binary7-r3", "binary7-r6", "tree-a-r5"])
+def test_tied_child_heights_keep_the_smallest_child(parents, root, paths):
+    # at every tie between child branches, the smallest child id carries the path on
+    partition = max_path_partition(families.tree_from_parents(parents), root)
+    assert partition.paths == paths
+
+
+def test_partition_reads_number_and_critical_config_off_its_paths(binary7):
+    partition = max_path_partition(binary7, 3)
+    assert partition.pebbling_number == 18 == tree_pebbling_number(binary7, 3)
+    assert partition.critical_config == (0, 0, 0, 0, 1, 15, 1)
+    assert partition.critical_config == tree_critical_config(binary7, 3)
+
+
+def test_max_over_roots_builds_one_partition_per_root(binary7, monkeypatch):
+    roots = []
+
+    def counted(g, root):
+        roots.append(root)
+        return max_path_partition(g, root)
+
+    monkeypatch.setattr(treepi, "max_path_partition", counted)
+    assert tree_pebbling_number_max(binary7).root == 3
+    assert roots == list(range(7))
+
+
 # -- structural validity over all small trees ---------------------------------
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -140,13 +170,19 @@ def test_critical_config_is_extremal(n):
 # -- non-trees are rejected ----------------------------------------------------
 
 def test_non_trees_rejected(petersen):
+    # the last graph has n - 1 edges: a triangle plus an isolated vertex
     for g in (families.cycle(4), petersen,
-              new_graph(4, [(0, 1), (2, 3)])):
+              new_graph(4, [(0, 1), (2, 3)]), new_graph(4, [(0, 1), (1, 2), (0, 2)])):
         assert not is_tree(g)
         with pytest.raises(GraphError, match="not a tree"):
             max_path_partition(g, 0)
         with pytest.raises(GraphError, match="not a tree"):
             tree_pebbling_number_max(g)
+
+
+def test_empty_graph_is_not_a_tree():
+    with pytest.raises(GraphError, match="not a tree"):
+        tree_pebbling_number_max(new_graph(0, []))
 
 
 def test_root_out_of_range(star3):
