@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .graph import Graph, GraphError, is_connected, root_orbits
+from .graph import Graph, GraphError, root_orbits
 from .lp import (LinearProgram, LpSolution, check_certificate, fraction_text,
                  make_linear_program, solve_max)
 from .strategy import (DEFAULT_GENERATION_METHOD, CoverageError, Strategy, StrategyError,
@@ -191,8 +191,6 @@ def bound_graph(g: Graph, method: str = "lp", *, gen: str = DEFAULT_GENERATION_M
     if method not in ("ratio", "lp"):
         raise ValueError(f"unknown bound method {method!r}")
     check_generation_options(gen, maxlen, budget)
-    if not is_connected(g):
-        raise GraphError("pebbling numbers need a connected graph")
     per_root: dict[int, BoundReport] = {}
     failures: dict[int, str] = {}
     for orbit in root_orbits(g):

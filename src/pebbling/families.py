@@ -103,15 +103,19 @@ FAMILY_KINDS = ("path", "cycle", "complete", "hypercube", "petersen", "bruhat", 
 
 
 def build_family(kind: str, size: int | None = None, parents=None) -> Graph:
-    """Dispatch used by the command-line layer."""
+    """Dispatch used by the command-line layer; an option the kind does not read is a GraphError."""
+    if kind not in FAMILY_KINDS:
+        raise GraphError(f"unknown family kind {kind!r}")
+    takes = {"petersen": (), "tree": ("parents",)}.get(kind, ("size",))
+    for name, value in (("size", size), ("parents", parents)):
+        if value is not None and name not in takes:
+            raise GraphError(f"{kind} takes no {name}")
     if kind == "petersen":
         return petersen()
     if kind == "tree":
         if parents is None:
             raise GraphError("tree family needs a parent array")
         return tree_from_parents(parents)
-    if kind not in FAMILY_KINDS:
-        raise GraphError(f"unknown family kind {kind!r}")
     if size is None:
         raise GraphError(f"family {kind!r} needs a size parameter")
     builders = {"path": path, "cycle": cycle, "complete": complete,

@@ -53,11 +53,12 @@ class Graph:
 def new_graph(n: int, edges) -> Graph:
     """Build a graph on vertices 0..n-1 from an iterable of (u, v) pairs.
 
-    Duplicate edges collapse.  Self-loops and out-of-range endpoints are
-    rejected with the offending edge in the message.
+    Duplicate edges collapse.  A graph needs at least one vertex; self-loops
+    and out-of-range endpoints are rejected with the offending edge in the
+    message.
     """
-    if n < 0:
-        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    if n < 1:
+        raise GraphError(f"a graph needs at least one vertex, got {n}")
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -85,6 +86,14 @@ def distances_from(g: Graph, src: int) -> list[int | None]:
     return dist
 
 
+def connected_distances(g: Graph, src: int) -> list[int]:
+    """BFS distances from src; the one connectivity check, GraphError if a vertex is unreachable."""
+    dist = distances_from(g, src)
+    if None in dist:
+        raise GraphError("pebbling numbers need a connected graph")
+    return dist  # type: ignore[return-value]
+
+
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Shortest-path distance between u and v; None if they are disconnected."""
     if not 0 <= v < g.n:
@@ -101,9 +110,7 @@ def eccentricity(g: Graph, v: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return all(d is not None for d in distances_from(g, 0))
+    return None not in distances_from(g, 0)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -201,28 +208,20 @@ def is_automorphism(g: Graph, sigma) -> bool:
     return all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
 
 
-def _search_order(g: Graph, start: int) -> tuple[list[int], list[int | None]]:
-    """Vertices in breadth-first order from start, each with an earlier neighbor.
+def _search_order(g: Graph, start: int) -> tuple[list[int], list[int]]:
+    """Vertices of a connected graph in breadth-first order from start.
 
-    Components not containing start follow, each from its least vertex,
-    whose anchor is None.
+    anchor[v] is the earlier neighbor that reached v; start anchors itself,
+    which marks it seen.
     """
-    order: list[int] = []
-    anchor: list[int | None] = [None] * g.n
-    seen = [False] * g.n
-    for s in [start] + list(range(g.n)):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    anchor[v] = u
-                    queue.append(v)
+    order = [start]
+    anchor = [-1] * g.n
+    anchor[start] = start
+    for u in order:  # the loop also visits the vertices it appends
+        for v in g.adj[u]:
+            if anchor[v] < 0:
+                anchor[v] = u
+                order.append(v)
     return order, anchor
 
 
@@ -245,10 +244,8 @@ def _find_automorphism(g: Graph, neighbor_sets, dist, profile, order, anchor,
     steps = 0
 
     def candidates(v):
-        a = anchor[v]
-        pool = range(n) if a is None else g.adj[sigma[a]]
-        return iter([c for c in pool if not used[c] and from_root[c] == from_rep[v]
-                     and profile[c] == profile[v]])
+        return iter([c for c in g.adj[sigma[anchor[v]]] if not used[c]
+                     and from_root[c] == from_rep[v] and profile[c] == profile[v]])
 
     def fits(v, c) -> bool:
         placed = 0
@@ -295,10 +292,10 @@ def root_orbits(g: Graph) -> tuple[Orbit, ...]:
     is kept.  Two roots with different sorted distance profiles are never
     compared.  All searches share one step limit; once it is spent, every
     root not yet placed starts an orbit of its own, which is slower for the
-    caller but never wrong.
+    caller but never wrong.  Raises GraphError for a disconnected graph.
     """
-    dist = [distances_from(g, v) for v in range(g.n)]
-    profile = [tuple(sorted(-1 if d is None else d for d in row)) for row in dist]
+    dist = [connected_distances(g, v) for v in range(g.n)]
+    profile = [tuple(sorted(row)) for row in dist]
     neighbor_sets = [set(a) for a in g.adj]
     steps_left = _ORBIT_SEARCH_STEPS
     placed = [False] * g.n

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, decimal_int, distances_from, is_connected, root_orbits
+from .graph import Graph, GraphError, connected_distances, decimal_int, distances_from, root_orbits
 
 DEFAULT_MAX_CONFIGS = 10_000_000
 # Configurations one depth-first search may visit before SearchCapError: a
@@ -127,34 +127,32 @@ def apply_moves(config, moves) -> tuple[int, ...]:
 # solvability search
 
 class Geometry(NamedTuple):
-    """What the search needs to know about one (graph, root) pair.
+    """What the search needs to know about one (graph, root) pair; the graph is connected.
 
     threshold[v] = 2^dist(v, root): a vertex holding that many pebbles can
     ship one to the root along a shortest path unaided.  chains[v] holds the
     runs that ship that pebble along the push toward the root (empty at the
-    root and off its component); every witness ends with one.
+    root); every witness ends with one.
 
     pushes holds one push order per target t: the root first, then the other
-    vertices of the root's component, nearest to the root first, ties by
-    index.  A push order lists the edges (u, next) of every other vertex u
-    of the component, farthest from t first, ties by index; next is u's
-    lowest-numbered neighbor one hop closer to t.  tree says the root's
-    component is a tree; there pushes holds only the root's order, whose
-    failure proves a configuration unsolvable.
+    vertices, nearest to the root first, ties by index.  A push order lists
+    the edges (u, next) of every other vertex u, farthest from t first, ties
+    by index; next is u's lowest-numbered neighbor one hop closer to t.
+    tree says the graph is a tree; there pushes holds only the root's order,
+    whose failure proves a configuration unsolvable.
 
     moves pairs each source vertex of the root's push order, in that order,
     with the neighbors the depth-first search may send to, from the nearest
     to the root to the farthest, ties by index, so the search tries the
-    step toward the root first.  Neither the root nor a vertex it cannot
-    reach is a source: the root is empty in every searched state, and
-    pebbles off its component never reach it.
+    step toward the root first.  The root is no source: it is empty in
+    every searched state.
 
-    potential[v] = 2^(e - dist(v, root)) on the root's component, e its
-    largest distance, and 0 off it; unit = 2^e, the root's own potential.
+    potential[v] = 2^(e - dist(v, root)), e the root's eccentricity; unit =
+    2^e, the root's own potential.
     """
 
-    dist: tuple[int | None, ...]
-    threshold: tuple[int | None, ...]
+    dist: tuple[int, ...]
+    threshold: tuple[int, ...]
     chains: tuple[tuple[Run, ...], ...]
     moves: tuple[tuple[int, tuple[int, ...]], ...]
     tree: bool
@@ -163,27 +161,28 @@ class Geometry(NamedTuple):
     unit: int
 
 
-def _push_order(g: Graph, t: int, component) -> tuple[Move, ...]:
-    """The edges (u, next) that push the component's pebbles toward t."""
+def _push_order(g: Graph, t: int) -> tuple[Move, ...]:
+    """The edges (u, next) that push the pebbles of a connected graph toward t."""
     to_t = distances_from(g, t)
-    order = sorted((u for u in component if to_t[u]), key=lambda u: (-to_t[u], u))
+    order = sorted((u for u in range(g.n) if to_t[u]), key=lambda u: (-to_t[u], u))
     return tuple((u, min(w for w in g.adj[u] if to_t[w] == to_t[u] - 1)) for u in order)
 
 
 @functools.lru_cache(maxsize=256)
 def _root_geometry(g: Graph, root: int) -> Geometry:
-    """The geometry of a root, computed once per graph value and root."""
-    dist = distances_from(g, root)
-    threshold = tuple(None if d is None else 1 << d for d in dist)
-    component = [v for v in range(g.n) if dist[v] is not None]
-    tree = sum(len(g.adj[v]) for v in component) == 2 * (len(component) - 1)
-    targets = sorted(component, key=lambda v: (dist[v], v))[:1 if tree else None]
-    pushes = tuple(_push_order(g, t, component) for t in targets)
+    """The geometry of a root, once per graph value and root; GraphError for a bad root or graph."""
+    if not 0 <= root < g.n:
+        raise GraphError(f"root {root} outside 0..{g.n - 1}")
+    dist = connected_distances(g, root)
+    threshold = tuple(1 << d for d in dist)
+    tree = g.num_edges == g.n - 1
+    targets = sorted(range(g.n), key=lambda v: (dist[v], v))[:1 if tree else None]
+    pushes = tuple(_push_order(g, t) for t in targets)
     step = dict(pushes[0])
     moves = tuple((u, tuple(sorted(g.adj[u], key=lambda v: (dist[v], v)))) for u in step)
-    chains = tuple(tuple(_chain_runs(v, d or 0, step)) for v, d in enumerate(dist))
-    ecc = max(dist[v] for v in component)
-    potential = tuple(0 if d is None else 1 << (ecc - d) for d in dist)
+    chains = tuple(tuple(_chain_runs(v, d, step)) for v, d in enumerate(dist))
+    ecc = max(dist)
+    potential = tuple(1 << (ecc - d) for d in dist)
     return Geometry(tuple(dist), threshold, chains, moves, tree, pushes, potential, 1 << ecc)
 
 
@@ -316,11 +315,11 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
 def is_solvable(g: Graph, config, root: int) -> SolveResult:
     """Decide whether config can put a pebble on root; carries a replayable witness.
 
-    Raises SearchCapError if the depth-first search needs more than
-    DEFAULT_MAX_STATES configurations.
+    Raises GraphError for a root outside the graph or a disconnected graph,
+    before it reads config, and SearchCapError if the depth-first search
+    needs more than DEFAULT_MAX_STATES configurations.
     """
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} outside 0..{g.n - 1}")
+    geometry = _root_geometry(g, root)
     counts = tuple(config)
     if len(counts) != g.n:
         raise ValueError(f"configuration length {len(counts)} does not match {g.n} vertices")
@@ -328,10 +327,9 @@ def is_solvable(g: Graph, config, root: int) -> SolveResult:
         raise ValueError("configuration counts must be nonnegative")
     if counts[root] >= 1:
         return SolveResult(True, (), 0)
-    geometry = _root_geometry(g, root)
     chains = geometry.chains
     for v, t in enumerate(geometry.threshold):
-        if t is not None and counts[v] >= t:
+        if counts[v] >= t:
             return SolveResult(True, _moves(chains[v]), 0)
     runs, explored = _search(geometry, counts)
     if runs is None:
@@ -401,16 +399,11 @@ def _level_space(g: Graph, root: int):
     A level's configurations are the tuples of its total bounded by the
     caps, _bounded_count(total, caps) of them; _scan_level walks them in
     the lexicographic order of _bounded_compositions(total, caps), skipping
-    those the push settles as a prefix.  The caps, like the pebbling
-    number, are only defined on a connected graph.
+    those the push settles as a prefix.  Raises GraphError, as
+    _root_geometry does, for a bad root or a disconnected graph.
     """
-    if not is_connected(g):
-        raise GraphError("pebbling numbers need a connected graph")
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} outside 0..{g.n - 1}")
     geometry = _root_geometry(g, root)
-    caps = tuple(0 if v == root else t - 1 for v, t in enumerate(geometry.threshold))
-    return geometry, caps
+    return geometry, tuple(t - 1 for t in geometry.threshold)
 
 
 def _scan_level(geometry, caps, total: int):
@@ -476,27 +469,28 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
             raise EnumerationCapError(max_configs, level, count, level - 1)
         hit = _scan_level(geometry, caps, level)
         if hit is None:
-            critical = previous_hit if previous_hit is not None else _witness_below(g, root, geometry, caps, lower)
+            critical = previous_hit if previous_hit is not None else _witness_below(g, root, geometry, lower)
             return PebblingResult(level, root, critical)
         previous_hit = hit
         level += 1
 
 
-def _witness_below(g: Graph, root, geometry, caps, lower) -> tuple[int, ...]:
-    """Unsolvable configuration of size lower - 1 when the scan starts at the answer."""
-    dist = geometry.dist
+def _witness_below(g: Graph, root, geometry, lower) -> tuple[int, ...]:
+    """Unsolvable configuration of size lower - 1 when the scan starts at the answer.
+
+    One pebble off the root on every vertex, or 2^ecc - 1 on the least farthest
+    vertex, whose potential is below unit; RuntimeError if _search accepts that.
+    """
     if lower - 1 == g.n - 1:
         return tuple(0 if v == root else 1 for v in range(g.n))
-    # lower - 1 = 2^ecc - 1: stack it all on the nearest farthest vertex
+    dist = geometry.dist
     ecc = max(dist)
-    far = min(v for v in range(g.n) if dist[v] == ecc)
     counts = [0] * g.n
-    counts[far] = (1 << ecc) - 1
+    counts[dist.index(ecc)] = (1 << ecc) - 1
     counts = tuple(counts)
-    if _search(geometry, counts)[0] is None:
-        return counts
-    # cannot happen for either canonical witness; fall back to a full scan
-    return _scan_level(geometry, caps, lower - 1)
+    if _search(geometry, counts)[0] is not None:
+        raise RuntimeError(f"the witness {format_config(counts)} below the lower bound is solvable")
+    return counts
 
 
 def pebbling_number_max(g: Graph, *, max_configs: int = DEFAULT_MAX_CONFIGS,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, decimal_int, distances_from, eccentricity, is_connected
+from .graph import Graph, GraphError, connected_distances, decimal_int, distances_from
 from .solver import _bounded_compositions, _level_space, is_solvable
 
 MAX_DEPTH = 62  # bounds each weight by 2^61; the sum of the weights is checked on its own
@@ -198,7 +198,7 @@ def _geodesic_spines(g: Graph, root: int, limit: int) -> list[tuple[int, ...]]:
     until the limit is reached.
     """
     dist = distances_from(g, root)
-    ecc = max(d for d in dist if d is not None)
+    ecc = max(dist)
     spines: list[tuple[int, ...]] = []
     for far in range(g.n):
         if dist[far] != ecc:
@@ -364,11 +364,9 @@ def generate_strategies(g: Graph, root: int, method: str = DEFAULT_GENERATION_ME
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} outside 0..{g.n - 1}")
     check_generation_options(method, maxlen, budget)
-    if not is_connected(g):
-        raise GraphError("pebbling numbers need a connected graph")
+    ecc = max(connected_distances(g, root))
     if g.n < 2:
         raise StrategyError("strategies need a graph with at least one edge")
-    ecc = eccentricity(g, root)
 
     if method == "all-paths":
         limit = maxlen if maxlen is not None else ecc
@@ -534,7 +532,8 @@ def strategy_set_from_json(data: dict, g: Graph) -> StrategySet:
 
     An entry without weights gets the strategy_from_tree weights.  Raises
     StrategyError naming a malformed "root" or "strategies" field, or the
-    first bad entry's index and its problem.
+    first bad entry's index and its problem, and GraphError for a
+    disconnected graph.
     """
     try:
         root, entries = data["root"], data["strategies"]
@@ -546,6 +545,7 @@ def strategy_set_from_json(data: dict, g: Graph) -> StrategySet:
         raise StrategyError('"strategies" must be a list of strategy objects')
     if not 0 <= root < g.n:
         raise StrategyError(f"root {root} outside 0..{g.n - 1}")
+    connected_distances(g, root)  # raises GraphError for a disconnected graph
     strategies = []
     for i, entry in enumerate(entries):
         try:

@@ -103,8 +103,6 @@ def tree_critical_config(g: Graph, root: int) -> tuple[int, ...]:
 
 def tree_pebbling_number_max(g: Graph) -> PebblingResult:
     """Tree pebbling number maximized over all roots; ties go to the smallest root."""
-    if g.n == 0:
-        raise GraphError("graph is not a tree")
     # max keeps the first of equal values, so the smallest root wins ties
     best = max((max_path_partition(g, root) for root in range(g.n)),
                key=lambda p: p.pebbling_number)

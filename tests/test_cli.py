@@ -83,6 +83,16 @@ def test_family_bad_parents(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "petersen", "--size", "7"], "petersen takes no size"),
+    (["--kind", "petersen", "--parents=-1,0"], "petersen takes no parents"),
+    (["--kind", "path", "--size", "3", "--parents=-1,0"], "path takes no parents"),
+    (["--kind", "tree", "--parents=-1,0", "--size", "9"], "tree takes no size"),
+], ids=["petersen-size", "petersen-parents", "path-parents", "tree-size"])
+def test_family_rejects_options_its_kind_ignores(argv, message, capsys):
+    assert run(capsys, "family", *argv) == (1, "", f"error: {message}\n")
+
+
 # -- solve --------------------------------------------------------------------
 
 def test_solve_solvable_with_witness(path4_file, capsys):
@@ -316,11 +326,25 @@ def test_disconnected_graph_is_one_error(verb, tmp_path, capsys):
     assert err == "error: pebbling numbers need a connected graph\n"
 
 
-@pytest.mark.parametrize("verb", ["bound", "strategies"])
+@pytest.mark.parametrize("verb", [["bound"], ["strategies"], ["solve", "--config", "1:2"],
+                                  ["solve", "--config", "0:1"]],
+                         ids=["bound", "strategies", "solve", "solve-root-pebble"])
 def test_disconnected_graph_is_one_error_at_a_root(verb, tmp_path, capsys):
     halves = tmp_path / "halves.txt"
     halves.write_text("4 2\n0 1\n2 3\n")
-    code, out, err = run(capsys, verb, "--graph", str(halves), "--root", "0")
+    code, out, err = run(capsys, *verb, "--graph", str(halves), "--root", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: pebbling numbers need a connected graph\n"
+
+
+@pytest.mark.parametrize("verb", ["lp", "bound"])
+def test_disconnected_graph_is_one_error_with_a_strategy_file(verb, tmp_path, capsys):
+    # the set is valid on the halves' first edge, but the graph is not connected
+    halves = tmp_path / "halves.txt"
+    halves.write_text("4 2\n0 1\n2 3\n")
+    strategies = tmp_path / "edge.json"
+    strategies.write_text('{"root": 0, "strategies": [{"parent": {"1": 0}}]}')
+    code, out, err = run(capsys, verb, "--graph", str(halves), "--strategies", str(strategies))
     assert (code, out) == (1, "")
     assert err == "error: pebbling numbers need a connected graph\n"
 

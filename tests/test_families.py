@@ -149,3 +149,11 @@ def test_build_family_dispatch():
         families.build_family("path")
     with pytest.raises(GraphError):
         families.build_family("tree")
+    with pytest.raises(GraphError, match="^petersen takes no size$"):
+        families.build_family("petersen", 7)
+    with pytest.raises(GraphError, match="^path takes no parents$"):
+        families.build_family("path", 3, [-1, 0])
+    with pytest.raises(GraphError, match="^tree takes no size$"):
+        families.build_family("tree", 9, [-1, 0])
+    with pytest.raises(GraphError, match="^unknown family kind 'grid'$"):
+        families.build_family("grid", parents=[-1, 0])

@@ -9,6 +9,7 @@ from pebbling import families, graph
 from pebbling.graph import (
     GraphError,
     GraphFormatError,
+    connected_distances,
     distance,
     distances_from,
     eccentricity,
@@ -44,6 +45,18 @@ def test_new_graph_rejects_bad_edges():
         new_graph(3, [(0, 7)])
     with pytest.raises(GraphError):
         new_graph(-1, [])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_graph_has_at_least_one_vertex(n):
+    with pytest.raises(GraphError, match=f"^a graph needs at least one vertex, got {n}$"):
+        new_graph(n, [])
+
+
+def test_single_vertex_is_connected():
+    g = new_graph(1, [])
+    assert is_connected(g)
+    assert connected_distances(g, 0) == [0]
 
 
 def test_adjacency_is_sorted():
@@ -104,6 +117,16 @@ def test_disconnected_graph_detected():
     assert distances_from(g, 0)[2] is None
     with pytest.raises(GraphError, match="disconnected"):
         eccentricity(g, 0)
+
+
+def test_connected_distances_is_the_one_connectivity_check(petersen):
+    assert connected_distances(petersen, 0) == distances_from(petersen, 0)
+    halves = new_graph(4, [(0, 1), (2, 3)])
+    for src in range(4):
+        with pytest.raises(GraphError, match="^pebbling numbers need a connected graph$"):
+            connected_distances(halves, src)
+    with pytest.raises(GraphError, match="^vertex 4 outside 0..3$"):
+        connected_distances(halves, 4)
 
 
 def test_edge_list_round_trip(petersen):
@@ -225,12 +248,14 @@ def _true_orbit_sizes(g):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n),
+    st.tuples(*(st.integers(0, v - 1) for v in range(1, n))),
     st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-            .filter(lambda e: e[0] != e[1]), max_size=10))))
+            .filter(lambda e: e[0] != e[1]), max_size=6))))
 def test_root_orbits_are_the_automorphism_orbits(data):
-    # disconnected graphs included: the search has no connectivity precondition
-    n, edges = data
-    g = new_graph(n, list(edges))
+    # connected graphs: a random tree (vertex v hangs under parents[v - 1])
+    # plus extra edges
+    n, parents, extra = data
+    g = new_graph(n, list(enumerate(parents, start=1)) + list(extra))
     orbits = root_orbits(g)
     _assert_orbits_are_checked(g, orbits)
     assert sorted(len(_roots(orbit)) for orbit in orbits) == _true_orbit_sizes(g)
@@ -247,6 +272,26 @@ def test_root_orbits_survive_relabelling(data):
     _assert_orbits_are_checked(relabelled, after)
     assert len(after) == len(before)
     assert sorted(len(_roots(o)) for o in after) == sorted(len(_roots(o)) for o in before)
+
+
+def test_root_orbits_need_a_connected_graph():
+    for g in (new_graph(4, [(0, 1), (2, 3)]), new_graph(2, [])):
+        with pytest.raises(GraphError, match="^pebbling numbers need a connected graph$"):
+            root_orbits(g)
+
+
+@pytest.mark.parametrize("g", [families.petersen(), families.path(7), families.hypercube(3),
+                               families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4])],
+                         ids=["petersen", "path7", "hypercube3", "tree"])
+def test_search_order_is_breadth_first_with_earlier_anchors(g):
+    for start in range(g.n):
+        order, anchor = graph._search_order(g, start)
+        dist = distances_from(g, start)
+        assert order[0] == start and sorted(order) == list(range(g.n))
+        assert [dist[v] for v in order] == sorted(dist)
+        for i, v in enumerate(order[1:], start=1):
+            assert anchor[v] in order[:i] and g.has_edge(anchor[v], v)
+            assert dist[anchor[v]] == dist[v] - 1
 
 
 def test_root_orbits_past_the_step_limit_are_singletons(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebbling import families, solver
-from pebbling.graph import distances_from, new_graph
+from pebbling.graph import GraphError, distances_from, new_graph
 from pebbling.solver import (
     ConfigFormatError,
     EnumerationCapError,
@@ -327,15 +327,12 @@ def test_tree_answers_come_without_a_search():
 
 
 def test_the_tree_rule_reads_the_roots_component():
-    # 5 vertices and 4 edges, but the root's component is a 4-cycle: the
-    # push toward the root sends vertex 2's pebble to vertex 1 and fails,
-    # while the push toward vertex 3 solves it
-    from pebbling.graph import new_graph
+    # 5 vertices and 4 edges, a 4-cycle plus an isolated vertex: no tree,
+    # and no geometry either, as the graph is not connected
     g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert not _root_geometry(g, 0).tree
-    result = is_solvable(g, (0, 0, 2, 1, 0), 0)
-    assert result.solvable and result.explored == 0
-    assert result.witness == ((2, 3), (3, 0))
+    for call in (lambda: _root_geometry(g, 0), lambda: is_solvable(g, (0, 0, 2, 1, 0), 0)):
+        with pytest.raises(GraphError, match="^pebbling numbers need a connected graph$"):
+            call()
 
 
 def test_concentrated_bruhat4_configuration_is_pushed_without_a_search():
@@ -433,9 +430,32 @@ def test_bounded_compositions_in_lexicographic_order(caps):
 
 
 def test_disconnected_graph_rejected():
-    from pebbling.graph import GraphError, new_graph
-    with pytest.raises(GraphError):
-        pebbling_number(new_graph(4, [(0, 1), (2, 3)]), 0)
+    halves = new_graph(4, [(0, 1), (2, 3)])
+    for call in (lambda: pebbling_number(halves, 0), lambda: pebbling_number_max(halves)):
+        with pytest.raises(GraphError, match="^pebbling numbers need a connected graph$"):
+            call()
+
+
+@pytest.mark.parametrize("config", [(0, 2, 0, 0), (1, 0, 0, 0), (0, 0, 0)],
+                         ids=["push", "root-holds-a-pebble", "wrong-length"])
+def test_disconnected_graph_is_one_error_before_the_config(config):
+    # the root's component alone would answer the first two: 1->0, no moves
+    halves = new_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(GraphError, match="^pebbling numbers need a connected graph$"):
+        is_solvable(halves, config, 0)
+
+
+def test_root_outside_the_graph_is_checked_first():
+    with pytest.raises(GraphError, match="^root 4 outside 0..3$"):
+        is_solvable(new_graph(4, [(0, 1), (2, 3)]), (0, 0, 0, 0), 4)
+
+
+def test_witness_below_refuses_a_solvable_stack(monkeypatch):
+    # the far stack has potential 3 < unit 4, so _search cannot accept it;
+    # should it ever, the scan fails loudly rather than report a wrong witness
+    monkeypatch.setattr(solver, "_search", lambda geometry, counts: ([(2, 1, 1)], 0))
+    with pytest.raises(RuntimeError, match="^the witness 2:3 below the lower bound is solvable$"):
+        pebbling_number(families.path(3), 0)
 
 
 def test_enumeration_cap():
