@@ -102,11 +102,8 @@ def distance(g: Graph, u: int, v: int) -> int | None:
 
 
 def eccentricity(g: Graph, v: int) -> int:
-    """Greatest distance from v to any vertex.  Requires a connected graph."""
-    dist = distances_from(g, v)
-    if any(d is None for d in dist):
-        raise GraphError("eccentricity is undefined on a disconnected graph")
-    return max(dist)  # type: ignore[type-var]
+    """Greatest distance from v to any vertex; connected_distances checks connectivity."""
+    return max(connected_distances(g, v))
 
 
 def is_connected(g: Graph) -> bool:

@@ -148,7 +148,15 @@ class Geometry(NamedTuple):
     every searched state.
 
     potential[v] = 2^(e - dist(v, root)), e the root's eccentricity; unit =
-    2^e, the root's own potential.
+    2^e, the root's own potential.  No move raises the sum of c(v) *
+    potential[v], so a configuration whose sum is below unit is unsolvable
+    and no push accepts it: _search's potential rule, and the level scan's
+    cut of every such prefix.
+
+    below is an unsolvable configuration of max(n, unit) - 1 pebbles, one
+    under the level scan's lower bound: the critical configuration when
+    that first level is solvable.  It is built once per root, so the
+    results that report it share one tuple.
     """
 
     dist: tuple[int, ...]
@@ -159,6 +167,7 @@ class Geometry(NamedTuple):
     pushes: tuple[tuple[Move, ...], ...]
     potential: tuple[int, ...]
     unit: int
+    below: tuple[int, ...]
 
 
 def _push_order(g: Graph, t: int) -> tuple[Move, ...]:
@@ -183,7 +192,9 @@ def _root_geometry(g: Graph, root: int) -> Geometry:
     chains = tuple(tuple(_chain_runs(v, d, step)) for v, d in enumerate(dist))
     ecc = max(dist)
     potential = tuple(1 << (ecc - d) for d in dist)
-    return Geometry(tuple(dist), threshold, chains, moves, tree, pushes, potential, 1 << ecc)
+    geometry = Geometry(tuple(dist), threshold, chains, moves, tree, pushes, potential,
+                        1 << ecc, ())
+    return geometry._replace(below=_witness_below(geometry, root))
 
 
 def _chain_runs(v, d: int, step) -> list[Run]:
@@ -219,7 +230,12 @@ def _push(geometry: Geometry, counts) -> list[Run] | None:
     holds all its pebbles before it sends half of them, and adding pebbles
     to counts never lowers what any vertex holds at any step.  So if the
     push accepts counts, it accepts every configuration that holds at least
-    as many pebbles on every vertex.
+    as many pebbles on every vertex.  And the potential of counts (the sum
+    of c(v) * potential[v]) is at least unit: no move raises it, and a
+    vertex at its threshold alone holds unit.
+
+    This loop builds the runs of a witness, for is_solvable; the level scan
+    asks only for the decision, from _push_solves.
     """
     threshold = geometry.threshold
     for order in geometry.pushes:
@@ -236,6 +252,26 @@ def _push(geometry: Geometry, counts) -> list[Run] | None:
     return None
 
 
+def _push_solves(geometry: Geometry, counts) -> bool:
+    """Does some push in geometry.pushes solve counts?  _push's decision, without runs.
+
+    Within one order a vertex sends only after everything it receives, and
+    never receives again, so its count after sending is never read: the
+    loop leaves the sender as it was.
+    """
+    threshold = geometry.threshold
+    for order in geometry.pushes:
+        pushed = list(counts)
+        for u, v in order:
+            k = pushed[u] >> 1
+            if k:
+                k += pushed[v]
+                if k >= threshold[v]:
+                    return True
+                pushed[v] = k
+    return False
+
+
 def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
     """Decide counts by pushing pebbles where that decides, else by depth-first search.
 
@@ -243,8 +279,9 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
     threshold, root empty).  Returns (runs, explored count); a run (u, v, k)
     stands for k moves from u to v.  The runs end with one that brought its
     target vertex up to its threshold, so that vertex's chain completes a
-    witness; None if unsolvable.  Only is_solvable expands runs into moves,
-    so a level scan builds no move list.
+    witness; None if unsolvable.  This is is_solvable's search; the level
+    scan, which needs no witness, runs _push_solves and then, if no push
+    accepts, _search_unpushed, so it builds no runs.
 
     explored == 0 means a rule decided:
 
@@ -267,6 +304,14 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
     runs = _push(geometry, counts)
     if runs is not None:
         return runs, 0
+    return _search_unpushed(geometry, counts)
+
+
+def _search_unpushed(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
+    """_search past its push, for a counts tuple that every push fails.
+
+    The tree rule, then the potential rule, then the depth-first search.
+    """
     if geometry.tree:
         return None, 0
     if sum(c * w for c, w in zip(counts, geometry.potential)) < geometry.unit:
@@ -411,11 +456,15 @@ def _scan_level(geometry, caps, total: int):
 
     A depth-first walk over the positions, each value from smallest to
     largest: the lexicographic order of _bounded_compositions.  Once a
-    nonzero value at position i lets _push accept the prefix, every later
-    position empty, position i is done: every larger value there, and every
-    completion, holds at least that prefix, so the push accepts it too.
-    Each full configuration the walk reaches goes through _search, so the
-    first unsolvable one is the one a plain scan meets first.
+    nonzero value at position i lets _push_solves accept the prefix, every
+    later position empty, position i is done: every larger value there, and
+    every completion, holds at least that prefix, so the push accepts it
+    too.  The walk keeps the prefix's potential, and a prefix whose
+    potential is below unit is not pushed: no push accepts it (see _push).
+    A full configuration below unit is unsolvable by the potential rule;
+    any other one is pushed once, then, if no push accepts it, goes through
+    _search_unpushed.  So the first unsolvable configuration is the one a
+    plain scan with _search meets first, and the walk builds no runs.
     """
     n = len(caps)
     room = [0] * (n + 1)  # room[i]: the most pebbles positions i and later hold
@@ -423,17 +472,21 @@ def _scan_level(geometry, caps, total: int):
         room[i] = room[i + 1] + caps[i]
     if not 0 <= total <= room[0]:
         return None
+    potential, unit = geometry.potential, geometry.unit
     x = [0] * n
     i, rem = 0, total  # rem: the pebbles positions i and later hold
+    held = 0  # the potential of positions 0..i-1
     value = max(0, rem - room[1])
     while True:
         x[i] = value
+        prefix = held + value * potential[i]
         if i == n - 1:
-            counts = tuple(x)
-            if _search(geometry, counts)[0] is None:
-                return counts
-        elif not value or _push(geometry, x) is None:
+            if prefix < unit or (not _push_solves(geometry, x)
+                                 and _search_unpushed(geometry, tuple(x))[0] is None):
+                return tuple(x)
+        elif not value or prefix < unit or not _push_solves(geometry, x):
             rem -= value
+            held = prefix
             i += 1
             value = max(0, rem - room[i + 1])
             continue
@@ -444,6 +497,7 @@ def _scan_level(geometry, caps, total: int):
             if i < 0:
                 return None
             rem += x[i]
+            held -= x[i] * potential[i]
             if x[i] < caps[i] and x[i] < rem:
                 value = x[i] + 1
                 break
@@ -459,9 +513,7 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
     runs in the calling process: threads is accepted and ignored.
     """
     geometry, caps = _level_space(g, root)
-    ecc = max(geometry.dist)
-    lower = max(g.n, 1 << ecc)
-    level = lower
+    level = max(g.n, geometry.unit)
     previous_hit = None
     while True:
         count = _bounded_count(level, caps) if level <= sum(caps) else 0
@@ -469,26 +521,27 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
             raise EnumerationCapError(max_configs, level, count, level - 1)
         hit = _scan_level(geometry, caps, level)
         if hit is None:
-            critical = previous_hit if previous_hit is not None else _witness_below(g, root, geometry, lower)
+            critical = previous_hit if previous_hit is not None else geometry.below
             return PebblingResult(level, root, critical)
         previous_hit = hit
         level += 1
 
 
-def _witness_below(g: Graph, root, geometry, lower) -> tuple[int, ...]:
-    """Unsolvable configuration of size lower - 1 when the scan starts at the answer.
+def _witness_below(geometry: Geometry, root: int) -> tuple[int, ...]:
+    """Geometry.below: an unsolvable configuration of max(n, unit) - 1 pebbles.
 
-    One pebble off the root on every vertex, or 2^ecc - 1 on the least farthest
-    vertex, whose potential is below unit; RuntimeError if _search accepts that.
+    One pebble off the root on every vertex, or unit - 1 on the least farthest
+    vertex, whose potential is below unit; RuntimeError if a push or
+    _search_unpushed accepts that.
     """
-    if lower - 1 == g.n - 1:
-        return tuple(0 if v == root else 1 for v in range(g.n))
     dist = geometry.dist
-    ecc = max(dist)
-    counts = [0] * g.n
-    counts[dist.index(ecc)] = (1 << ecc) - 1
+    n = len(dist)
+    if geometry.unit <= n:
+        return tuple(0 if v == root else 1 for v in range(n))
+    counts = [0] * n
+    counts[dist.index(max(dist))] = geometry.unit - 1
     counts = tuple(counts)
-    if _search(geometry, counts)[0] is not None:
+    if _push_solves(geometry, counts) or _search_unpushed(geometry, counts)[0] is not None:
         raise RuntimeError(f"the witness {format_config(counts)} below the lower bound is solvable")
     return counts
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,11 @@ from pebbling.solver import (
     _bounded_compositions,
     _level_space,
     _push,
+    _push_solves,
     _root_geometry,
     _scan_level,
     _search,
+    _search_unpushed,
     apply_moves,
     format_config,
     is_solvable,
@@ -210,6 +213,19 @@ def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root
         assert result.explored == 0 or not _route_accepts(g, config, root), config
 
 
+@pytest.mark.parametrize("g,root", [(g, root) for _, g, roots in _SWEEP_GRAPHS for root in roots],
+                         ids=[f"{name}-r{root}" for name, _, roots in _SWEEP_GRAPHS for root in roots])
+def test_the_decision_push_accepts_what_the_witness_push_accepts(g, root):
+    # _push_solves (the level scan's loop) against _push (is_solvable's) and
+    # the reference push toward every target
+    geometry = _root_geometry(g, root)
+    caps = [t - 1 for t in geometry.threshold]
+    for config in itertools.product(*(range(cap + 1) for cap in caps)):
+        accepts = _push_solves(geometry, config)
+        assert accepts == (_push(geometry, config) is not None), config
+        assert accepts == any(_push_accepts(g, config, root, t) for t in range(g.n)), config
+
+
 def test_every_level_64_configuration_of_path7_is_pushed_to_the_root():
     geometry, caps = _level_space(families.path(7), 6)
     configs = list(_bounded_compositions(64, caps))
@@ -255,14 +271,15 @@ _SCAN_GRAPHS = {
 def test_pruned_scan_matches_a_plain_scan(g, monkeypatch):
     # every level from one below the scan's lower bound to one past the
     # rooted pebbling number, at every root; the configurations the pruned
-    # scan searches are configurations of the level, in enumeration order
+    # scan searches past the push are configurations of the level, in
+    # enumeration order
     searched = []
 
     def search(geometry, counts):
         searched.append(counts)
-        return _search(geometry, counts)
+        return _search_unpushed(geometry, counts)
 
-    monkeypatch.setattr(solver, "_search", search)
+    monkeypatch.setattr(solver, "_search_unpushed", search)
     for root in range(g.n):
         geometry, caps = _level_space(g, root)
         lower = max(g.n, 1 << max(geometry.dist))
@@ -283,20 +300,49 @@ def test_pruned_scan_matches_a_plain_scan(g, monkeypatch):
 @pytest.mark.parametrize("caps", [(0,), (2,), (0, 3, 0), (1, 3, 7), (2, 0, 1, 4), (3, 3, 3, 3),
                                   (1, 1, 0, 1, 1)])
 def test_unpruned_walk_searches_the_whole_enumeration(caps, monkeypatch):
-    # with no prefix accepted and every configuration solvable, the walk
-    # searches exactly the configurations _bounded_compositions yields
+    # with no prefix accepted, no potential cut and every configuration
+    # solvable, the walk searches exactly the configurations
+    # _bounded_compositions yields
     searched = []
 
     def search(geometry, counts):
         searched.append(counts)
         return [], 1
 
-    monkeypatch.setattr(solver, "_push", lambda geometry, counts: None)
-    monkeypatch.setattr(solver, "_search", search)
+    monkeypatch.setattr(solver, "_push_solves", lambda geometry, counts: False)
+    monkeypatch.setattr(solver, "_search_unpushed", search)
+    uncut = SimpleNamespace(potential=(0,) * len(caps), unit=0)
     for total in range(sum(caps) + 3):
         searched.clear()
-        assert _scan_level(None, caps, total) is None
+        assert _scan_level(uncut, caps, total) is None
         assert searched == list(_bounded_compositions(total, caps)), total
+
+
+@pytest.mark.parametrize("g,root,pi", [(families.path(7), 6, 64), (families.cycle(8), 0, 16),
+                                       (families.petersen(), 0, 10), (families.hypercube(3), 0, 8),
+                                       (families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4]), 5, 33)],
+                         ids=["path7-r6", "cycle8-r0", "petersen-r0", "hypercube3-r0", "tree-r5"])
+def test_the_scan_pushes_each_configuration_once_and_builds_no_runs(g, root, pi, monkeypatch):
+    # at every level up to pi, each configuration the walk pushes, prefix or
+    # full, is pushed once, and its potential is at least unit
+    pushed = []
+
+    def push_solves(geometry, counts):
+        pushed.append(tuple(counts))
+        return _push_solves(geometry, counts)
+
+    def push(geometry, counts):
+        raise AssertionError(f"the scan built the runs of {counts}")
+
+    monkeypatch.setattr(solver, "_push_solves", push_solves)
+    monkeypatch.setattr(solver, "_push", push)
+    geometry, caps = _level_space(g, root)
+    for level in range(g.n, pi + 1):
+        pushed.clear()
+        assert (_scan_level(geometry, caps, level) is None) == (level == pi), level
+        assert len(pushed) == len(set(pushed)), level
+        for counts in pushed:
+            assert sum(c * p for c, p in zip(counts, geometry.potential)) >= geometry.unit, counts
 
 
 _PUSH_GRAPHS = [families.path(5), families.cycle(6), families.petersen(), families.hypercube(3),
@@ -316,6 +362,19 @@ def test_push_acceptance_is_monotone(data):
             bigger = list(config)
             bigger[v] += 1
             assert _push(geometry, bigger) is not None, (root, config, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_an_accepted_configuration_holds_a_unit_of_potential(data):
+    # what lets the level scan skip the push of a prefix below unit
+    g = data.draw(st.sampled_from(_PUSH_GRAPHS))
+    root = data.draw(st.integers(0, g.n - 1))
+    config = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n))
+    geometry = _root_geometry(g, root)
+    if _push_solves(geometry, config):
+        held = sum(c * p for c, p in zip(config, geometry.potential))
+        assert held >= geometry.unit, (root, config)
 
 
 def test_tree_answers_come_without_a_search():
@@ -451,9 +510,12 @@ def test_root_outside_the_graph_is_checked_first():
 
 
 def test_witness_below_refuses_a_solvable_stack(monkeypatch):
-    # the far stack has potential 3 < unit 4, so _search cannot accept it;
-    # should it ever, the scan fails loudly rather than report a wrong witness
-    monkeypatch.setattr(solver, "_search", lambda geometry, counts: ([(2, 1, 1)], 0))
+    # the far stack has potential 3 < unit 4, so neither the push nor the
+    # rest of the search can accept it; should it ever, the scan fails
+    # loudly rather than report a wrong witness.  The geometry builds the
+    # witness, so the cached one must go.
+    _root_geometry.cache_clear()
+    monkeypatch.setattr(solver, "_search_unpushed", lambda geometry, counts: ([(2, 1, 1)], 0))
     with pytest.raises(RuntimeError, match="^the witness 2:3 below the lower bound is solvable$"):
         pebbling_number(families.path(3), 0)
 
