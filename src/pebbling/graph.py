@@ -2,13 +2,14 @@
 
 Vertices are the integers 0..n-1.  Adjacency is stored as a tuple of sorted
 neighbor tuples so graphs hash, compare, and iterate deterministically.
-root_orbits groups the vertices by automorphism, so whole-graph answers can
-be computed once per orbit.
+bfs_tree is the one breadth-first search: distances, the connectivity
+check, the orbit search order, tree path partitions and the branch-tree
+strategies all grow their trees with it.  root_orbits groups the vertices
+by automorphism, so whole-graph answers can be computed once per orbit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,19 +71,39 @@ def new_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
 
 
+def bfs_tree(g: Graph, root: int, branches=None, depth_cap: int | None = None) -> dict[int, int]:
+    """Parent map of a breadth-first tree from root, keys in visit order.
+
+    The tree grows from the given neighbors of root (default: all of them)
+    through the graph with root deleted, keeping the vertices at depth
+    depth_cap or less (default: no cap).  Branches and neighbors are visited
+    in ascending order, so the map is deterministic.  With the defaults it
+    is the breadth-first tree of root's component: every reached vertex sits
+    at its distance from root.  This is the package's one breadth-first
+    search.
+    """
+    if not 0 <= root < g.n:
+        raise GraphError(f"vertex {root} outside 0..{g.n - 1}")
+    parent = {b: root for b in sorted(g.adj[root] if branches is None else branches)}
+    frontier, depth = list(parent), 1
+    while frontier and (depth_cap is None or depth < depth_cap):
+        grown = []
+        for u in frontier:
+            for v in g.adj[u]:
+                if v != root and v not in parent:
+                    parent[v] = u
+                    grown.append(v)
+        frontier, depth = grown, depth + 1
+    return parent
+
+
 def distances_from(g: Graph, src: int) -> list[int | None]:
-    """BFS distances from src; None marks unreachable vertices."""
-    if not 0 <= src < g.n:
-        raise GraphError(f"vertex {src} outside 0..{g.n - 1}")
+    """BFS distances from src, read off bfs_tree; None marks unreachable vertices."""
+    parent = bfs_tree(g, src)
     dist: list[int | None] = [None] * g.n
     dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    for v, p in parent.items():  # a parent is visited before its children
+        dist[v] = dist[p] + 1
     return dist
 
 
@@ -205,32 +226,16 @@ def is_automorphism(g: Graph, sigma) -> bool:
     return all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
 
 
-def _search_order(g: Graph, start: int) -> tuple[list[int], list[int]]:
-    """Vertices of a connected graph in breadth-first order from start.
-
-    anchor[v] is the earlier neighbor that reached v; start anchors itself,
-    which marks it seen.
-    """
-    order = [start]
-    anchor = [-1] * g.n
-    anchor[start] = start
-    for u in order:  # the loop also visits the vertices it appends
-        for v in g.adj[u]:
-            if anchor[v] < 0:
-                anchor[v] = u
-                order.append(v)
-    return order, anchor
-
-
 def _find_automorphism(g: Graph, neighbor_sets, dist, profile, order, anchor,
                        rep: int, root: int, steps_left: int):
     """An automorphism sending rep to root, and the candidate images tried for it.
 
-    Backtracking over order: a vertex may only go to an unused image at the
-    same distance from root as it is from rep, with the same distance
-    profile, adjacent to its anchor's image, and adjacent to exactly the
-    images of its already placed neighbors.  The map is None if there is
-    none, or if the search would try more than steps_left images.
+    Backtracking over order, rep and then the keys of anchor, the bfs_tree
+    parent map from rep: a vertex may only go to an unused image at the same
+    distance from root as it is from rep, with the same distance profile,
+    adjacent to its parent's image, and adjacent to exactly the images of
+    its already placed neighbors.  The map is None if there is none, or if
+    the search would try more than steps_left images.
     """
     n = g.n
     sigma: list[int | None] = [None] * n
@@ -300,7 +305,8 @@ def root_orbits(g: Graph) -> tuple[Orbit, ...]:
     for rep in range(g.n):
         if placed[rep]:
             continue
-        order, anchor = _search_order(g, rep)
+        anchor = bfs_tree(g, rep)
+        order = [rep, *anchor]
         members = []
         for root in range(rep + 1, g.n):
             if steps_left <= 0:

@@ -11,13 +11,12 @@ module exploits.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, connected_distances, decimal_int, distances_from
+from .graph import Graph, GraphError, bfs_tree, connected_distances, decimal_int, distances_from
 from .solver import _bounded_compositions, _level_space, is_solvable
 
 MAX_DEPTH = 62  # bounds each weight by 2^61; the sum of the weights is checked on its own
@@ -161,35 +160,6 @@ def unit_weight(s: Strategy) -> int:
 
 # ---------------------------------------------------------------------------
 # generation
-
-def _branch_tree(g: Graph, root: int, branches, depth_cap: int) -> dict[int, int]:
-    """Parent map of a breadth-first forest grown from the given neighbors of root.
-
-    The forest lives in the graph with the root deleted, each branch vertex
-    hanging under the root, truncated at the given strategy depth.  Vertices
-    are visited in ascending order for determinism.  With every neighbor of
-    the root as a branch and a depth cap of the root's eccentricity, it is
-    the breadth-first spanning tree: every vertex sits at its distance from
-    the root.
-    """
-    parent = {}
-    depth = {}
-    queue = deque()
-    for b in sorted(branches):
-        parent[b] = root
-        depth[b] = 1
-        queue.append(b)
-    while queue:
-        u = queue.popleft()
-        if depth[u] >= depth_cap:
-            continue
-        for v in g.adj[u]:
-            if v != root and v not in depth:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                queue.append(v)
-    return parent
-
 
 def _geodesic_spines(g: Graph, root: int, limit: int) -> list[tuple[int, ...]]:
     """Shortest paths from the root to its most distant vertices.
@@ -372,7 +342,7 @@ def generate_strategies(g: Graph, root: int, method: str = DEFAULT_GENERATION_ME
         limit = maxlen if maxlen is not None else ecc
         strategies = [strategy_from_path(g, p) for p in _all_simple_paths(g, root, limit)]
     elif method == "bfs-trees":
-        strategies = [strategy_from_tree(g, root, _branch_tree(g, root, g.adj[root], ecc))]
+        strategies = [strategy_from_tree(g, root, bfs_tree(g, root))]
     else:
         strategies = _greedy_search(g, root, ecc, maxlen, budget)
 
@@ -416,10 +386,10 @@ def _greedy_search(g: Graph, root: int, ecc: int, maxlen: int | None,
     for depth_cap in range(1, MAX_DEPTH + 1):
         family = []
         for b in neighbors:
-            i = push(_branch_tree(g, root, [b], depth_cap))
+            i = push(bfs_tree(g, root, [b], depth_cap))
             if i is not None:
                 family.append(i)
-        push(_branch_tree(g, root, neighbors, depth_cap))
+        push(bfs_tree(g, root, neighbors, depth_cap))
         family = sorted(set(family))
         if family and family != previous:
             families.append(family)

@@ -2,19 +2,20 @@
 
 Directing every edge of a tree toward a chosen root decomposes the edge set
 into paths: each vertex extends its tallest child branch upward and ends the
-other branches at itself.  One breadth-first pass from the root proves the
-graph is a tree and orders its vertices; the partition is built over that
-order reversed, children before parents.  The rooted pebbling number is then
-sum(2^len) - count + 1 over the partition's paths, and stacking 2^len - 1
-pebbles on each path's far endpoint realizes the extremal unsolvable
-configuration.  Both are read off the partition alone.
+other branches at itself.  One breadth-first tree from the root
+(graph.bfs_tree) proves the graph is a tree and orders its vertices; the
+partition is built over that order reversed, children before parents.  The
+rooted pebbling number is then sum(2^len) - count + 1 over the partition's
+paths, and stacking 2^len - 1 pebbles on each path's far endpoint realizes
+the extremal unsolvable configuration.  Both are read off the partition
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, distances_from
+from .graph import Graph, GraphError, bfs_tree, distances_from
 from .solver import PebblingResult
 
 
@@ -61,21 +62,14 @@ def max_path_partition(g: Graph, root: int) -> PathPartition:
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} outside 0..{g.n - 1}")
-    parent: list[int | None] = [None] * g.n
-    parent[root] = root  # marks it seen; no neighbour of the root is the root
-    order = [root]
-    for u in order:
-        for v in g.adj[u]:
-            if parent[v] is None:
-                parent[v] = u
-                order.append(v)
-    if g.num_edges != g.n - 1 or len(order) != g.n:
+    parent = {root: root, **bfs_tree(g, root)}  # keys in visit order; no neighbor of root is root
+    if g.num_edges != g.n - 1 or len(parent) != g.n:
         raise GraphError("graph is not a tree")
 
     height = [0] * g.n
     chain: list[list[int]] = [[] for _ in range(g.n)]  # growing path ending at the vertex
     done: list[tuple[int, ...]] = []
-    for u in reversed(order):
+    for u in reversed(parent):
         children = [c for c in g.adj[u] if c != parent[u]]  # ascending, as adj is
         if not children:
             chain[u].append(u)

@@ -280,18 +280,58 @@ def test_root_orbits_need_a_connected_graph():
             root_orbits(g)
 
 
-@pytest.mark.parametrize("g", [families.petersen(), families.path(7), families.hypercube(3),
-                               families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4])],
-                         ids=["petersen", "path7", "hypercube3", "tree"])
+BFS_GRAPHS = pytest.mark.parametrize(
+    "g", [families.petersen(), families.path(7), families.hypercube(3),
+          families.tree_from_parents([-1, 0, 0, 0, 1, 2, 4])],
+    ids=["petersen", "path7", "hypercube3", "tree"])
+
+
+@BFS_GRAPHS
 def test_search_order_is_breadth_first_with_earlier_anchors(g):
+    reference = _floyd_warshall(g)
     for start in range(g.n):
-        order, anchor = graph._search_order(g, start)
-        dist = distances_from(g, start)
+        anchor = graph.bfs_tree(g, start)
+        order = [start, *anchor]
+        dist = reference[start]
         assert order[0] == start and sorted(order) == list(range(g.n))
         assert [dist[v] for v in order] == sorted(dist)
         for i, v in enumerate(order[1:], start=1):
             assert anchor[v] in order[:i] and g.has_edge(anchor[v], v)
             assert dist[anchor[v]] == dist[v] - 1
+
+
+def _branch_depths(g, root, branches):
+    """Depth of every vertex the branches reach in g with root deleted, branches at 1."""
+    depth = dict.fromkeys(branches, 1)
+    d = 1
+    while True:
+        grown = {v for u, du in depth.items() if du == d for v in g.adj[u]
+                 if v != root and v not in depth}
+        if not grown:
+            return depth
+        d += 1
+        depth.update(dict.fromkeys(grown, d))
+
+
+@BFS_GRAPHS
+@pytest.mark.parametrize("depth_cap", [1, 2, None])
+def test_bfs_tree_grows_from_branches_to_the_depth_cap(g, depth_cap):
+    for root in range(g.n):
+        neighbors = list(g.adj[root])
+        for branches in [[b] for b in neighbors] + [neighbors[::-2]]:
+            parent = graph.bfs_tree(g, root, branches, depth_cap)
+            reference = _branch_depths(g, root, branches)
+            assert root not in parent
+            assert list(parent)[:len(branches)] == sorted(branches)
+            assert set(parent) == {v for v, d in reference.items()
+                                   if depth_cap is None or d <= depth_cap}
+            keys, depth = list(parent), {root: 0}
+            for i, (v, p) in enumerate(parent.items()):
+                assert (p == root or p in keys[:i]) and g.has_edge(p, v)
+                depth[v] = depth[p] + 1
+                assert depth[v] == reference[v]
+                assert depth_cap is None or depth[v] <= depth_cap
+            assert keys == sorted(keys, key=depth.get)
 
 
 def test_root_orbits_past_the_step_limit_are_singletons(monkeypatch):
