@@ -80,8 +80,11 @@ def bfs_tree(g: Graph, root: int, branches=None, depth_cap: int | None = None) -
     in ascending order, so the map is deterministic.  With the defaults it
     is the breadth-first tree of root's component: every reached vertex sits
     at its distance from root.  This is the package's one breadth-first
-    search.
+    search.  A root that is not an int, True and 1.0 included, is a
+    GraphError: every root a caller takes passes through here first.
     """
+    if type(root) is not int:
+        raise GraphError(f"vertex {root!r} is not an int")
     if not 0 <= root < g.n:
         raise GraphError(f"vertex {root} outside 0..{g.n - 1}")
     parent = {b: root for b in sorted(g.adj[root] if branches is None else branches)}

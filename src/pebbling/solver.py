@@ -132,7 +132,8 @@ class Geometry(NamedTuple):
     threshold[v] = 2^dist(v, root): a vertex holding that many pebbles can
     ship one to the root along a shortest path unaided.  chains[v] holds the
     runs that ship that pebble along the push toward the root (empty at the
-    root); every witness ends with one.
+    root); every witness ends with one.  caps[v] = threshold[v] - 1, 0 at
+    the root, bounds the configurations a level scan enumerates.
 
     pushes holds one push order per target t: the root first, then the other
     vertices, nearest to the root first, ties by index.  A push order lists
@@ -161,6 +162,7 @@ class Geometry(NamedTuple):
 
     dist: tuple[int, ...]
     threshold: tuple[int, ...]
+    caps: tuple[int, ...]
     chains: tuple[tuple[Run, ...], ...]
     moves: tuple[tuple[int, tuple[int, ...]], ...]
     tree: bool
@@ -177,7 +179,7 @@ def _push_order(g: Graph, t: int) -> tuple[Move, ...]:
     return tuple((u, min(w for w in g.adj[u] if to_t[w] == to_t[u] - 1)) for u in order)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)  # typed: True and 1.0 never answer as root 1
 def _root_geometry(g: Graph, root: int) -> Geometry:
     """The geometry of a root, once per graph value and root; GraphError for a bad root or graph."""
     if not 0 <= root < g.n:
@@ -192,7 +194,8 @@ def _root_geometry(g: Graph, root: int) -> Geometry:
     chains = tuple(tuple(_chain_runs(v, d, step)) for v, d in enumerate(dist))
     ecc = max(dist)
     potential = tuple(1 << (ecc - d) for d in dist)
-    geometry = Geometry(tuple(dist), threshold, chains, moves, tree, pushes, potential,
+    caps = tuple(t - 1 for t in threshold)
+    geometry = Geometry(tuple(dist), threshold, caps, chains, moves, tree, pushes, potential,
                         1 << ecc, ())
     return geometry._replace(below=_witness_below(geometry, root))
 
@@ -215,49 +218,30 @@ def _moves(runs) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _push(geometry: Geometry, counts) -> list[Run] | None:
-    """The runs of the first push in geometry.pushes that solves counts, or None.
+def _push(geometry: Geometry, counts) -> tuple[tuple[Move, ...], list[int], int] | None:
+    """The first push in geometry.pushes that solves counts, as (order, held, last), or None.
 
     The push toward a target t moves, along every edge (u, next) of t's
     order, c // 2 of u's c pebbles to next.  These are legal moves, so if
-    they bring a vertex up to its threshold, counts is solvable; the runs
-    end with the one that did.  As floor((a + b) / 2) >= floor(a / 2) +
-    floor(b / 2), t collects at least the sum over v of c(v) >> dist(v, t):
-    every stack's own share, shipped along a geodesic.
+    they bring a vertex up to its threshold, counts is solvable.  As
+    floor((a + b) / 2) >= floor(a / 2) + floor(b / 2), t collects at least
+    the sum over v of c(v) >> dist(v, t): every stack's own share, shipped
+    along a geodesic.
 
-    Acceptance is monotone: a vertex at distance d from t receives only
-    from vertices at distance d + 1, which come earlier in the order, so it
-    holds all its pebbles before it sends half of them, and adding pebbles
-    to counts never lowers what any vertex holds at any step.  So if the
-    push accepts counts, it accepts every configuration that holds at least
-    as many pebbles on every vertex.  And the potential of counts (the sum
-    of c(v) * potential[v]) is at least unit: no move raises it, and a
-    vertex at its threshold alone holds unit.
+    A vertex at distance d from t receives only from vertices at distance
+    d + 1, which come earlier in the order, so it holds all its pebbles
+    before it sends half of them, and it never receives again.  Its count
+    after sending is never read, so the loop leaves a sender as it was:
+    held[u] is what u held when it sent, and last is the sender whose run
+    brought its target up to its threshold.  _push_runs reads the runs of
+    a witness off them; the level scan needs only the decision.
 
-    This loop builds the runs of a witness, for is_solvable; the level scan
-    asks only for the decision, from _push_solves.
-    """
-    threshold = geometry.threshold
-    for order in geometry.pushes:
-        pushed = list(counts)
-        runs: list[Run] = []
-        for u, v in order:
-            k = pushed[u] >> 1
-            if k:
-                pushed[u] -= 2 * k
-                pushed[v] += k
-                runs.append((u, v, k))
-                if pushed[v] >= threshold[v]:
-                    return runs
-    return None
-
-
-def _push_solves(geometry: Geometry, counts) -> bool:
-    """Does some push in geometry.pushes solve counts?  _push's decision, without runs.
-
-    Within one order a vertex sends only after everything it receives, and
-    never receives again, so its count after sending is never read: the
-    loop leaves the sender as it was.
+    Acceptance is monotone: adding pebbles to counts never lowers what any
+    vertex holds at any step, so if the push accepts counts, it accepts
+    every configuration that holds at least as many pebbles on every
+    vertex.  And the potential of counts (the sum of c(v) * potential[v])
+    is at least unit: no move raises it, and a vertex at its threshold
+    alone holds unit.
     """
     threshold = geometry.threshold
     for order in geometry.pushes:
@@ -267,26 +251,37 @@ def _push_solves(geometry: Geometry, counts) -> bool:
             if k:
                 k += pushed[v]
                 if k >= threshold[v]:
-                    return True
+                    return order, pushed, u
                 pushed[v] = k
-    return False
+    return None
+
+
+def _push_runs(order, held, last) -> list[Run]:
+    """The runs of an accepting push, read off _push's answer.
+
+    Every sender of order up to last moves half of what it held to its
+    next vertex; the runs end with last's, which brought its target up to
+    its threshold.
+    """
+    runs: list[Run] = []
+    for u, v in order:
+        if held[u] > 1:
+            runs.append((u, v, held[u] >> 1))
+        if u == last:
+            return runs
 
 
 def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
-    """Decide counts by pushing pebbles where that decides, else by depth-first search.
+    """Decide counts, which every push fails, by a rule or else by depth-first search.
 
-    counts must already fail every quick accept (no vertex at or over its
+    counts must also fail every quick accept (no vertex at or over its
     threshold, root empty).  Returns (runs, explored count); a run (u, v, k)
     stands for k moves from u to v.  The runs end with one that brought its
     target vertex up to its threshold, so that vertex's chain completes a
-    witness; None if unsolvable.  This is is_solvable's search; the level
-    scan, which needs no witness, runs _push_solves and then, if no push
-    accepts, _search_unpushed, so it builds no runs.
+    witness; None if unsolvable.
 
     explored == 0 means a rule decided:
 
-    - The push (_push), once per target t in geometry.pushes, the root
-      first, proves counts solvable.
     - The tree rule: on a tree every useful move goes toward the root (a
       pebble sent away could only come back over the same edge, a cycle the
       No-Cycle Lemma rules out), so the push toward the root is optimal play
@@ -300,17 +295,6 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
     Otherwise a depth-first search with a visited-configuration memo starts
     from counts; it raises SearchCapError once it has visited more than
     DEFAULT_MAX_STATES configurations.
-    """
-    runs = _push(geometry, counts)
-    if runs is not None:
-        return runs, 0
-    return _search_unpushed(geometry, counts)
-
-
-def _search_unpushed(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
-    """_search past its push, for a counts tuple that every push fails.
-
-    The tree rule, then the potential rule, then the depth-first search.
     """
     if geometry.tree:
         return None, 0
@@ -376,9 +360,13 @@ def is_solvable(g: Graph, config, root: int) -> SolveResult:
     for v, t in enumerate(geometry.threshold):
         if counts[v] >= t:
             return SolveResult(True, _moves(chains[v]), 0)
-    runs, explored = _search(geometry, counts)
-    if runs is None:
-        return SolveResult(False, None, explored)
+    pushed = _push(geometry, counts)
+    if pushed is not None:
+        runs, explored = _push_runs(*pushed), 0
+    else:
+        runs, explored = _search(geometry, counts)
+        if runs is None:
+            return SolveResult(False, None, explored)
     runs += chains[runs[-1][1]]
     return SolveResult(True, _moves(runs), explored)
 
@@ -438,33 +426,20 @@ def _bounded_compositions(total: int, caps):
         i += 1
 
 
-def _level_space(g: Graph, root: int):
-    """Root geometry and the caps threshold - 1 of every vertex, 0 at the root.
-
-    A level's configurations are the tuples of its total bounded by the
-    caps, _bounded_count(total, caps) of them; _scan_level walks them in
-    the lexicographic order of _bounded_compositions(total, caps), skipping
-    those the push settles as a prefix.  Raises GraphError, as
-    _root_geometry does, for a bad root or a disconnected graph.
-    """
-    geometry = _root_geometry(g, root)
-    return geometry, tuple(t - 1 for t in geometry.threshold)
-
-
 def _scan_level(geometry, caps, total: int):
     """First unsolvable configuration at this total, in enumeration order.
 
     A depth-first walk over the positions, each value from smallest to
     largest: the lexicographic order of _bounded_compositions.  Once a
-    nonzero value at position i lets _push_solves accept the prefix, every
-    later position empty, position i is done: every larger value there, and
+    nonzero value at position i lets _push accept the prefix, every later
+    position empty, position i is done: every larger value there, and
     every completion, holds at least that prefix, so the push accepts it
     too.  The walk keeps the prefix's potential, and a prefix whose
     potential is below unit is not pushed: no push accepts it (see _push).
     A full configuration below unit is unsolvable by the potential rule;
     any other one is pushed once, then, if no push accepts it, goes through
-    _search_unpushed.  So the first unsolvable configuration is the one a
-    plain scan with _search meets first, and the walk builds no runs.
+    _search.  So the first unsolvable configuration is the one a plain scan
+    with _push and _search meets first, and the walk builds no runs.
     """
     n = len(caps)
     room = [0] * (n + 1)  # room[i]: the most pebbles positions i and later hold
@@ -481,10 +456,10 @@ def _scan_level(geometry, caps, total: int):
         x[i] = value
         prefix = held + value * potential[i]
         if i == n - 1:
-            if prefix < unit or (not _push_solves(geometry, x)
-                                 and _search_unpushed(geometry, tuple(x))[0] is None):
+            if prefix < unit or (_push(geometry, x) is None
+                                 and _search(geometry, tuple(x))[0] is None):
                 return tuple(x)
-        elif not value or prefix < unit or not _push_solves(geometry, x):
+        elif not value or prefix < unit or _push(geometry, x) is None:
             rem -= value
             held = prefix
             i += 1
@@ -512,7 +487,8 @@ def pebbling_number(g: Graph, root: int, *, max_configs: int = DEFAULT_MAX_CONFI
     level would enumerate more than max_configs configurations.  All work
     runs in the calling process: threads is accepted and ignored.
     """
-    geometry, caps = _level_space(g, root)
+    geometry = _root_geometry(g, root)
+    caps = geometry.caps
     level = max(g.n, geometry.unit)
     previous_hit = None
     while True:
@@ -532,7 +508,7 @@ def _witness_below(geometry: Geometry, root: int) -> tuple[int, ...]:
 
     One pebble off the root on every vertex, or unit - 1 on the least farthest
     vertex, whose potential is below unit; RuntimeError if a push or
-    _search_unpushed accepts that.
+    _search accepts that.
     """
     dist = geometry.dist
     n = len(dist)
@@ -541,7 +517,7 @@ def _witness_below(geometry: Geometry, root: int) -> tuple[int, ...]:
     counts = [0] * n
     counts[dist.index(max(dist))] = geometry.unit - 1
     counts = tuple(counts)
-    if _push_solves(geometry, counts) or _search_unpushed(geometry, counts)[0] is not None:
+    if _push(geometry, counts) is not None or _search(geometry, counts)[0] is not None:
         raise RuntimeError(f"the witness {format_config(counts)} below the lower bound is solvable")
     return counts
 

@@ -17,7 +17,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .graph import Graph, GraphError, bfs_tree, connected_distances, decimal_int, distances_from
-from .solver import _bounded_compositions, _level_space, is_solvable
+from .solver import _bounded_compositions, _root_geometry, is_solvable
 
 MAX_DEPTH = 62  # bounds each weight by 2^61; the sum of the weights is checked on its own
 GENERATION_METHODS = ("greedy-search", "all-paths", "bfs-trees")
@@ -444,7 +444,7 @@ def max_unsolvable_weight_check(g: Graph, root: int, s: Strategy,
     validate_strategy(g, s)
     if s.root != root:
         raise StrategyError(f"strategy rooted at {s.root}, not {root}")
-    _, caps = _level_space(g, root)
+    caps = _root_geometry(g, root).caps
     bound = unit_weight(s)
     for total in range(max_total + 1):
         for counts in _bounded_compositions(total, caps):

@@ -16,13 +16,12 @@ from pebbling.solver import (
     EnumerationCapError,
     SearchCapError,
     _bounded_compositions,
-    _level_space,
+    _moves,
     _push,
-    _push_solves,
+    _push_runs,
     _root_geometry,
     _scan_level,
     _search,
-    _search_unpushed,
     apply_moves,
     format_config,
     is_solvable,
@@ -30,6 +29,8 @@ from pebbling.solver import (
     pebbling_number,
     pebbling_number_max,
 )
+from pebbling.strategy import generate_strategies
+from pebbling.treepi import max_path_partition
 
 from conftest import small_catalog
 
@@ -216,32 +217,36 @@ def test_every_configuration_below_the_thresholds_matches_a_plain_search(g, root
 @pytest.mark.parametrize("g,root", [(g, root) for _, g, roots in _SWEEP_GRAPHS for root in roots],
                          ids=[f"{name}-r{root}" for name, _, roots in _SWEEP_GRAPHS for root in roots])
 def test_the_decision_push_accepts_what_the_witness_push_accepts(g, root):
-    # _push_solves (the level scan's loop) against _push (is_solvable's) and
-    # the reference push toward every target
+    # the one push loop decides as the reference push toward every target
+    # does, and the witness runs _push_runs reads off an accepting push
+    # replay, the last one bringing its target up to its threshold
     geometry = _root_geometry(g, root)
-    caps = [t - 1 for t in geometry.threshold]
-    for config in itertools.product(*(range(cap + 1) for cap in caps)):
-        accepts = _push_solves(geometry, config)
-        assert accepts == (_push(geometry, config) is not None), config
-        assert accepts == any(_push_accepts(g, config, root, t) for t in range(g.n)), config
+    for config in itertools.product(*(range(cap + 1) for cap in geometry.caps)):
+        pushed = _push(geometry, config)
+        assert (pushed is not None) == any(_push_accepts(g, config, root, t)
+                                           for t in range(g.n)), config
+        if pushed is not None:
+            runs = _push_runs(*pushed)
+            target = runs[-1][1]
+            final = apply_moves(config, _moves(runs))
+            assert final[target] >= geometry.threshold[target], config
 
 
 def test_every_level_64_configuration_of_path7_is_pushed_to_the_root():
-    geometry, caps = _level_space(families.path(7), 6)
-    configs = list(_bounded_compositions(64, caps))
+    geometry = _root_geometry(families.path(7), 6)
+    configs = list(_bounded_compositions(64, geometry.caps))
     assert len(configs) == 32767
     for config in configs:
-        moves, explored = _search(geometry, config)
-        assert moves is not None and explored == 0, config
+        assert _push(geometry, config) is not None, config
 
 
 # ---------------------------------------------------------------------------
 # the prefix-pruned level scan against a plain scan
 
 def _plain_scan(geometry, caps, total):
-    """The first configuration of the level, in enumeration order, that _search rejects."""
-    return next((c for c in _bounded_compositions(total, caps) if _search(geometry, c)[0] is None),
-                None)
+    """The level's first configuration, in enumeration order, that no push and _search reject."""
+    return next((c for c in _bounded_compositions(total, caps)
+                 if _push(geometry, c) is None and _search(geometry, c)[0] is None), None)
 
 
 def _random_small_graphs(count, seed):
@@ -277,11 +282,12 @@ def test_pruned_scan_matches_a_plain_scan(g, monkeypatch):
 
     def search(geometry, counts):
         searched.append(counts)
-        return _search_unpushed(geometry, counts)
+        return _search(geometry, counts)
 
-    monkeypatch.setattr(solver, "_search_unpushed", search)
+    monkeypatch.setattr(solver, "_search", search)
     for root in range(g.n):
-        geometry, caps = _level_space(g, root)
+        geometry = _root_geometry(g, root)
+        caps = geometry.caps
         lower = max(g.n, 1 << max(geometry.dist))
         level, pi = lower - 1, None
         while pi is None or level <= pi + 1:
@@ -309,8 +315,8 @@ def test_unpruned_walk_searches_the_whole_enumeration(caps, monkeypatch):
         searched.append(counts)
         return [], 1
 
-    monkeypatch.setattr(solver, "_push_solves", lambda geometry, counts: False)
-    monkeypatch.setattr(solver, "_search_unpushed", search)
+    monkeypatch.setattr(solver, "_push", lambda geometry, counts: None)
+    monkeypatch.setattr(solver, "_search", search)
     uncut = SimpleNamespace(potential=(0,) * len(caps), unit=0)
     for total in range(sum(caps) + 3):
         searched.clear()
@@ -324,19 +330,21 @@ def test_unpruned_walk_searches_the_whole_enumeration(caps, monkeypatch):
                          ids=["path7-r6", "cycle8-r0", "petersen-r0", "hypercube3-r0", "tree-r5"])
 def test_the_scan_pushes_each_configuration_once_and_builds_no_runs(g, root, pi, monkeypatch):
     # at every level up to pi, each configuration the walk pushes, prefix or
-    # full, is pushed once, and its potential is at least unit
+    # full, is pushed once, and its potential is at least unit; the scan
+    # needs only the push's decision, so it never reads a witness
     pushed = []
 
-    def push_solves(geometry, counts):
-        pushed.append(tuple(counts))
-        return _push_solves(geometry, counts)
-
     def push(geometry, counts):
-        raise AssertionError(f"the scan built the runs of {counts}")
+        pushed.append(tuple(counts))
+        return _push(geometry, counts)
 
-    monkeypatch.setattr(solver, "_push_solves", push_solves)
+    def push_runs(order, held, last):
+        raise AssertionError(f"the scan read the runs of a push to {order[-1][1]}")
+
     monkeypatch.setattr(solver, "_push", push)
-    geometry, caps = _level_space(g, root)
+    monkeypatch.setattr(solver, "_push_runs", push_runs)
+    geometry = _root_geometry(g, root)
+    caps = geometry.caps
     for level in range(g.n, pi + 1):
         pushed.clear()
         assert (_scan_level(geometry, caps, level) is None) == (level == pi), level
@@ -372,7 +380,7 @@ def test_an_accepted_configuration_holds_a_unit_of_potential(data):
     root = data.draw(st.integers(0, g.n - 1))
     config = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n))
     geometry = _root_geometry(g, root)
-    if _push_solves(geometry, config):
+    if _push(geometry, config) is not None:
         held = sum(c * p for c, p in zip(config, geometry.potential))
         assert held >= geometry.unit, (root, config)
 
@@ -509,13 +517,31 @@ def test_root_outside_the_graph_is_checked_first():
         is_solvable(new_graph(4, [(0, 1), (2, 3)]), (0, 0, 0, 0), 4)
 
 
+@pytest.mark.parametrize("root", [True, 1.0], ids=["True", "1.0"])
+@pytest.mark.parametrize("call", [
+    lambda g, root: is_solvable(g, (0, 0, 0, 0), root),
+    lambda g, root: pebbling_number(g, root),
+    lambda g, root: generate_strategies(g, root),
+    lambda g, root: max_path_partition(g, root),
+], ids=["is_solvable", "pebbling_number", "generate_strategies", "max_path_partition"])
+def test_a_root_that_is_not_an_int_is_a_graph_error(call, root):
+    # True and 1.0 equal 1 and hash as 1; neither may pass for root 1,
+    # whether or not root 1's geometry is cached
+    g = families.path(4)
+    _root_geometry.cache_clear()
+    for _ in range(2):
+        with pytest.raises(GraphError, match=f"^vertex {root!r} is not an int$"):
+            call(g, root)
+        assert pebbling_number(g, 1).root == 1
+
+
 def test_witness_below_refuses_a_solvable_stack(monkeypatch):
     # the far stack has potential 3 < unit 4, so neither the push nor the
     # rest of the search can accept it; should it ever, the scan fails
     # loudly rather than report a wrong witness.  The geometry builds the
     # witness, so the cached one must go.
     _root_geometry.cache_clear()
-    monkeypatch.setattr(solver, "_search_unpushed", lambda geometry, counts: ([(2, 1, 1)], 0))
+    monkeypatch.setattr(solver, "_search", lambda geometry, counts: ([(2, 1, 1)], 0))
     with pytest.raises(RuntimeError, match="^the witness 2:3 below the lower bound is solvable$"):
         pebbling_number(families.path(3), 0)
 
