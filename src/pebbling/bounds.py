@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .graph import Graph, GraphError, root_orbits
+from .graph import Graph, check_vertex, root_orbits
 from .lp import (LinearProgram, LpSolution, check_certificate, fraction_text,
                  make_linear_program, solve_max)
 from .strategy import (DEFAULT_GENERATION_METHOD, CoverageError, Strategy, StrategyError,
@@ -83,6 +83,7 @@ def aggregate_bound(coverage: int, total: int) -> int:
 
 def ratio_report(g: Graph, ss: StrategySet) -> BoundReport:
     """The report at ss.root without LP fields: coverage, total weight, ratio bound."""
+    check_vertex(g, ss.root)
     kappa = min_coverage(g, ss)
     chi = total_unit_weight(ss)
     return BoundReport(ss.root, kappa, chi, aggregate_bound(kappa, chi))
@@ -95,8 +96,7 @@ def build_relaxation(g: Graph, ss: StrategySet) -> LinearProgram:
     and one constraint per strategy: the weighted count of a configuration
     may not exceed the strategy's unit weight.
     """
-    if not 0 <= ss.root < g.n:
-        raise GraphError(f"root {ss.root} outside 0..{g.n - 1}")
+    check_vertex(g, ss.root)
     variables = [v for v in range(g.n) if v != ss.root]
     position = {v: i for i, v in enumerate(variables)}
     constraints = []

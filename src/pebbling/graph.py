@@ -71,6 +71,14 @@ def new_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
 
 
+def check_vertex(g: Graph, v) -> None:
+    """The one vertex check: GraphError unless v is an int in 0..n-1; True and 1.0 are not."""
+    if type(v) is not int:
+        raise GraphError(f"vertex {v!r} is not an int")
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
+
+
 def bfs_tree(g: Graph, root: int, branches=None, depth_cap: int | None = None) -> dict[int, int]:
     """Parent map of a breadth-first tree from root, keys in visit order.
 
@@ -80,13 +88,9 @@ def bfs_tree(g: Graph, root: int, branches=None, depth_cap: int | None = None) -
     in ascending order, so the map is deterministic.  With the defaults it
     is the breadth-first tree of root's component: every reached vertex sits
     at its distance from root.  This is the package's one breadth-first
-    search.  A root that is not an int, True and 1.0 included, is a
-    GraphError: every root a caller takes passes through here first.
+    search; check_vertex rejects a bad root.
     """
-    if type(root) is not int:
-        raise GraphError(f"vertex {root!r} is not an int")
-    if not 0 <= root < g.n:
-        raise GraphError(f"vertex {root} outside 0..{g.n - 1}")
+    check_vertex(g, root)
     parent = {b: root for b in sorted(g.adj[root] if branches is None else branches)}
     frontier, depth = list(parent), 1
     while frontier and (depth_cap is None or depth < depth_cap):
@@ -120,8 +124,7 @@ def connected_distances(g: Graph, src: int) -> list[int]:
 
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Shortest-path distance between u and v; None if they are disconnected."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
+    check_vertex(g, v)
     return distances_from(g, u)[v]
 
 

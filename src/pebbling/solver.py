@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, connected_distances, decimal_int, distances_from, root_orbits
+from .graph import Graph, connected_distances, decimal_int, distances_from, root_orbits
 
 DEFAULT_MAX_CONFIGS = 10_000_000
 # Configurations one depth-first search may visit before SearchCapError: a
@@ -182,8 +182,6 @@ def _push_order(g: Graph, t: int) -> tuple[Move, ...]:
 @functools.lru_cache(maxsize=256, typed=True)  # typed: True and 1.0 never answer as root 1
 def _root_geometry(g: Graph, root: int) -> Geometry:
     """The geometry of a root, once per graph value and root; GraphError for a bad root or graph."""
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} outside 0..{g.n - 1}")
     dist = connected_distances(g, root)
     threshold = tuple(1 << d for d in dist)
     tree = g.num_edges == g.n - 1
@@ -344,7 +342,7 @@ def _search(geometry: Geometry, counts) -> tuple[list[Run] | None, int]:
 def is_solvable(g: Graph, config, root: int) -> SolveResult:
     """Decide whether config can put a pebble on root; carries a replayable witness.
 
-    Raises GraphError for a root outside the graph or a disconnected graph,
+    Raises GraphError for a bad root (graph.check_vertex) or a disconnected graph,
     before it reads config, and SearchCapError if the depth-first search
     needs more than DEFAULT_MAX_STATES configurations.
     """

@@ -16,7 +16,8 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, bfs_tree, connected_distances, decimal_int, distances_from
+from .graph import (Graph, GraphError, bfs_tree, check_vertex, connected_distances, decimal_int,
+                    distances_from)
 from .solver import _bounded_compositions, _root_geometry, is_solvable
 
 MAX_DEPTH = 62  # bounds each weight by 2^61; the sum of the weights is checked on its own
@@ -125,8 +126,10 @@ def strategy_from_path(g: Graph, vertices) -> Strategy:
 
 def validate_strategy(g: Graph, s: Strategy) -> None:
     """Check the strategy invariants; raises StrategyError naming the first violation."""
-    if not 0 <= s.root < g.n:
-        raise StrategyError(f"root {s.root} outside 0..{g.n - 1}")
+    try:
+        check_vertex(g, s.root)
+    except GraphError as exc:
+        raise StrategyError(str(exc)) from exc
     _depths(g, s.root, s.parent)
     if s.weight.keys() != s.parent.keys():
         raise StrategyError("weight map does not cover exactly the non-root vertices")
@@ -327,14 +330,12 @@ def generate_strategies(g: Graph, root: int, method: str = DEFAULT_GENERATION_ME
     then keeps the subset minimizing total weight over minimum coverage.
     Every method is deterministic: seed is accepted and ignored.
 
-    Raises StrategyError for options check_generation_options rejects,
-    GraphError for a disconnected graph, and CoverageError if the produced
-    set leaves a vertex unreached.
+    Raises GraphError for a bad root or a disconnected graph, then
+    StrategyError for options check_generation_options rejects, and
+    CoverageError if the produced set leaves a vertex unreached.
     """
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} outside 0..{g.n - 1}")
-    check_generation_options(method, maxlen, budget)
     ecc = max(connected_distances(g, root))
+    check_generation_options(method, maxlen, budget)
     if g.n < 2:
         raise StrategyError("strategies need a graph with at least one edge")
 
@@ -438,13 +439,13 @@ def max_unsolvable_weight_check(g: Graph, root: int, s: Strategy,
     in the solver's level order, and returns the first unsolvable one whose
     weighted count exceeds the strategy's unit weight, if any exists.  The
     enumeration skips configurations with 2^dist(v, root) pebbles on some
-    vertex v: they are solvable outright.  Raises GraphError on a
-    disconnected graph.
+    vertex v: they are solvable outright.  Raises GraphError for a bad root
+    or a disconnected graph, before comparing the strategy's root with it.
     """
     validate_strategy(g, s)
+    caps = _root_geometry(g, root).caps
     if s.root != root:
         raise StrategyError(f"strategy rooted at {s.root}, not {root}")
-    caps = _root_geometry(g, root).caps
     bound = unit_weight(s)
     for total in range(max_total + 1):
         for counts in _bounded_compositions(total, caps):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bfs_tree, distances_from
+from .graph import Graph, GraphError, bfs_tree, is_connected
 from .solver import PebblingResult
 
 
@@ -49,7 +49,7 @@ class PathPartition:
 
 
 def is_tree(g: Graph) -> bool:
-    return g.num_edges == g.n - 1 and None not in distances_from(g, 0)
+    return g.num_edges == g.n - 1 and is_connected(g)
 
 
 def max_path_partition(g: Graph, root: int) -> PathPartition:
@@ -60,8 +60,6 @@ def max_path_partition(g: Graph, root: int) -> PathPartition:
     maximizes the multiset of path lengths.  Raises GraphError unless g is a
     tree.
     """
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} outside 0..{g.n - 1}")
     parent = {root: root, **bfs_tree(g, root)}  # keys in visit order; no neighbor of root is root
     if g.num_edges != g.n - 1 or len(parent) != g.n:
         raise GraphError("graph is not a tree")

@@ -1,6 +1,7 @@
 """Ratio and LP bounds built from covering strategy sets."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -13,12 +14,13 @@ from pebbling.bounds import (BoundReport, aggregate_bound, bound_graph,
                              build_relaxation, lp_bound, min_coverage, ratio_report,
                              total_unit_weight)
 from pebbling import bounds
-from pebbling.graph import GraphError, Orbit, new_graph, root_orbits
+from pebbling.graph import GraphError, Orbit, distance, new_graph, root_orbits
 from pebbling.lp import CertificateError, check_certificate, solve_max
-from pebbling.solver import pebbling_number, pebbling_number_max
-from pebbling.strategy import (GENERATION_METHODS, CoverageError, StrategyError,
-                               StrategySet, generate_strategies, strategy_from_path,
-                               strategy_set_from_json)
+from pebbling.solver import is_solvable, pebbling_number, pebbling_number_max
+from pebbling.strategy import (GENERATION_METHODS, CoverageError, Strategy, StrategyError,
+                               StrategySet, generate_strategies, max_unsolvable_weight_check,
+                               strategy_from_path, strategy_set_from_json, validate_strategy)
+from pebbling.treepi import max_path_partition, tree_pebbling_number
 
 
 def stored_petersen_set() -> StrategySet:
@@ -358,3 +360,56 @@ def test_orbit_search_past_its_step_limit_changes_nothing(petersen, monkeypatch)
     monkeypatch.setattr(graph, "_ORBIT_SEARCH_STEPS", 0)
     assert len(graph.root_orbits(petersen)) == 10
     assert results() == with_orbits
+
+
+# -- one vertex check for every root ------------------------------------------
+
+BAD_ROOTS = ["1", None, True, 1.0, -1, 4]
+BAD_ROOT_IDS = ["str", "None", "True", "1.0", "negative", "n"]
+
+
+def bad_root_message(root) -> str:
+    """What graph.check_vertex says about root on a 4-vertex graph."""
+    if type(root) is not int:
+        return f"vertex {root!r} is not an int"
+    return f"vertex {root} outside 0..3"
+
+
+def path4_set(root) -> StrategySet:
+    """path(4)'s path strategies from vertex 1, relabelled to root: valid when root is 1."""
+    return StrategySet(root, (Strategy(root, {0: 1}, {0: 1}),
+                              Strategy(root, {2: 1, 3: 2}, {2: 2, 3: 1})))
+
+
+# True and 1.0 equal 1, and "1" and None do not compare with an int; each
+# entry point must say so through check_vertex, never by a bare TypeError
+# and never by taking the root for vertex 1
+@pytest.mark.parametrize("root", BAD_ROOTS, ids=BAD_ROOT_IDS)
+@pytest.mark.parametrize("call", [
+    lambda g, root: is_solvable(g, (0, 0, 0, 0), root),
+    lambda g, root: pebbling_number(g, root),
+    lambda g, root: generate_strategies(g, root),
+    lambda g, root: max_path_partition(g, root),
+    lambda g, root: tree_pebbling_number(g, root),
+    lambda g, root: distance(g, root, 0),
+    lambda g, root: distance(g, 0, root),
+    lambda g, root: ratio_report(g, path4_set(root)),
+    lambda g, root: lp_bound(g, path4_set(root)),
+    lambda g, root: bounds.certify(g, path4_set(root)),
+    lambda g, root: build_relaxation(g, path4_set(root)),
+    lambda g, root: max_unsolvable_weight_check(g, root, strategy_from_path(g, [0, 1, 2, 3]), 7),
+], ids=["is_solvable", "pebbling_number", "generate_strategies", "max_path_partition",
+        "tree_pebbling_number", "distance-u", "distance-v", "ratio_report", "lp_bound",
+        "certify", "build_relaxation", "max_unsolvable_weight_check"])
+def test_every_entry_point_reports_a_bad_root_through_check_vertex(call, root):
+    g = families.path(4)
+    with pytest.raises(GraphError, match=f"^{re.escape(bad_root_message(root))}$"):
+        call(g, root)
+
+
+@pytest.mark.parametrize("root", BAD_ROOTS, ids=BAD_ROOT_IDS)
+def test_validate_strategy_reports_a_bad_root_as_a_strategy_error(root):
+    g = families.path(4)
+    s = path4_set(root).strategies[0]
+    with pytest.raises(StrategyError, match=f"^{re.escape(bad_root_message(root))}$"):
+        validate_strategy(g, s)

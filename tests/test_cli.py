@@ -654,7 +654,7 @@ def test_family_parents_take_ascii_decimal_digits_only(value, capsys):
 def test_negative_root_is_a_library_error(verb, path4_file, capsys):
     code, out, err = run(capsys, verb[0], "--graph", path4_file, *verb[1:], "--root", "-1")
     assert (code, out) == (1, "")
-    assert err == "error: root -1 outside 0..3\n"
+    assert err == "error: vertex -1 outside 0..3\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

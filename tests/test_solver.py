@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebbling import families, solver
-from pebbling.graph import GraphError, distances_from, new_graph
+from pebbling.graph import GraphError, distance, distances_from, new_graph
 from pebbling.solver import (
     ConfigFormatError,
     EnumerationCapError,
@@ -30,7 +31,7 @@ from pebbling.solver import (
     pebbling_number_max,
 )
 from pebbling.strategy import generate_strategies
-from pebbling.treepi import max_path_partition
+from pebbling.treepi import max_path_partition, tree_pebbling_number
 
 from conftest import small_catalog
 
@@ -513,24 +514,31 @@ def test_disconnected_graph_is_one_error_before_the_config(config):
 
 
 def test_root_outside_the_graph_is_checked_first():
-    with pytest.raises(GraphError, match="^root 4 outside 0..3$"):
+    with pytest.raises(GraphError, match="^vertex 4 outside 0..3$"):
         is_solvable(new_graph(4, [(0, 1), (2, 3)]), (0, 0, 0, 0), 4)
 
 
-@pytest.mark.parametrize("root", [True, 1.0], ids=["True", "1.0"])
+@pytest.mark.parametrize("root", [True, 1.0, "1", None], ids=["True", "1.0", "str", "None"])
 @pytest.mark.parametrize("call", [
     lambda g, root: is_solvable(g, (0, 0, 0, 0), root),
     lambda g, root: pebbling_number(g, root),
     lambda g, root: generate_strategies(g, root),
+    lambda g, root: generate_strategies(g, root, "no-such-method"),
     lambda g, root: max_path_partition(g, root),
-], ids=["is_solvable", "pebbling_number", "generate_strategies", "max_path_partition"])
+    lambda g, root: tree_pebbling_number(g, root),
+    lambda g, root: distance(g, root, 0),
+    lambda g, root: distance(g, 0, root),
+], ids=["is_solvable", "pebbling_number", "generate_strategies", "generate_strategies-bad-method",
+        "max_path_partition", "tree_pebbling_number", "distance-u", "distance-v"])
 def test_a_root_that_is_not_an_int_is_a_graph_error(call, root):
     # True and 1.0 equal 1 and hash as 1; neither may pass for root 1,
-    # whether or not root 1's geometry is cached
+    # whether or not root 1's geometry is cached.  "1" and None do not
+    # compare with an int, so no range test may run before the type test;
+    # and a bad root is reported before a bad generation method.
     g = families.path(4)
     _root_geometry.cache_clear()
     for _ in range(2):
-        with pytest.raises(GraphError, match=f"^vertex {root!r} is not an int$"):
+        with pytest.raises(GraphError, match=f"^{re.escape(f'vertex {root!r} is not an int')}$"):
             call(g, root)
         assert pebbling_number(g, 1).root == 1
 

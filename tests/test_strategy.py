@@ -98,7 +98,7 @@ def test_validate_catches_each_violation():
     g = families.path(4)
     assert validate_strategy(g, strategy_from_path(g, [0, 1, 2, 3])) is None
     violations = [
-        (Strategy(9, {1: 0}, {1: 1}), r"root 9 outside 0\.\.3"),
+        (Strategy(9, {1: 0}, {1: 1}), r"^vertex 9 outside 0\.\.3$"),
         (Strategy(0, {}, {}), "strategy has no edges"),
         (Strategy(0, {0: 1, 1: 0}, {0: 1, 1: 2}), "root 0 has a parent"),
         (Strategy(0, {4: 0}, {4: 1}), r"vertex 4 outside 0\.\.3"),
@@ -250,6 +250,16 @@ def test_weight_check_requires_valid_strategy():
         max_unsolvable_weight_check(g, 0, Strategy(0, {2: 0}, {2: 1}), 2)
     with pytest.raises(StrategyError, match="rooted at 0"):
         max_unsolvable_weight_check(g, 2, strategy_from_path(g, [0, 1, 2]), 3)
+
+
+@pytest.mark.parametrize("root,problem", [("0", "vertex '0' is not an int"),
+                                          (3, r"vertex 3 outside 0\.\.2")], ids=["str", "outside"])
+def test_weight_check_reports_a_bad_root_before_the_strategy_root(root, problem):
+    # "0" != 0: compared before the root is checked, the roots would give
+    # the misleading "strategy rooted at 0, not 0"
+    g = families.path(3)
+    with pytest.raises(GraphError, match=f"^{problem}$"):
+        max_unsolvable_weight_check(g, root, strategy_from_path(g, [0, 1, 2]), 3)
 
 
 def test_weight_check_only_solves_configurations_below_thresholds(monkeypatch):
